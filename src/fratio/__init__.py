@@ -17,6 +17,7 @@ from .recovery import (
     erasure_row_statistics,
     project_fidelity,
     recover_l1,
+    recover_l1_batch,
     sample_complexity,
     soft_threshold,
 )
@@ -80,6 +81,7 @@ __all__ = [
     "rd_decode",
     "rd_encode",
     "recover_l1",
+    "recover_l1_batch",
     "sample_complexity",
     "slice_signal",
     "soft_sparsify",

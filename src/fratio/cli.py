@@ -15,15 +15,16 @@ from dataclasses import asdict
 import numpy as np
 
 from .codec import rd_decode, rd_encode
-from .harness import PhaseSweepConfig, derive_seed, fr_report, run_phase_sweep, success_threshold
-from .localization import ProductDecomposition, localization_check
-from .recovery import (
-    RecoveryConfig,
-    bernoulli_sample,
-    erasure_row_statistics,
-    recover_l1,
-    restrict,
+from .harness import (
+    PhaseSweepConfig,
+    derive_seed,
+    fr_report,
+    run_phase_sweep,
+    success_threshold,
+    trial_inputs,
 )
+from .localization import ProductDecomposition, localization_check
+from .recovery import RecoveryConfig, erasure_row_statistics, recover_l1
 from .signals import generate_signal, write_signal
 from .sqdim import covering_params, sq_dim_log2, sq_mse
 from .systems import check_boundedness, parse_system
@@ -67,16 +68,14 @@ def cmd_fr(args) -> None:
 
 def cmd_recover(args) -> None:
     system = parse_system(args.system)
-    f = generate_signal(system, args.signal, seed=derive_seed(args.seed, 0))
-    sample = bernoulli_sample(system.group, args.p, derive_seed(args.seed, 1))
-    sigma = args.eps * f.l2
+    f, sample, y, sigma = trial_inputs(system, args.signal, args.p, args.eps, args.seed)
     config = RecoveryConfig(
         max_iterations=args.max_iterations,
         step=args.step,
         tolerance=args.tolerance,
         fidelity_radius=sigma,
     )
-    result = recover_l1(system, sample, restrict(f.values, sample), config, truth=f)
+    result = recover_l1(system, sample, y, config, truth=f)
     payload = {
         "system": system.system_id,
         "p": args.p,

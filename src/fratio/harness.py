@@ -2,21 +2,23 @@
 and the phase sweep over (signal class, sampling rate) grids.
 
 Per-trial seeds are derived with SHA-256 from (master seed, grid index, trial
-index), so results do not depend on execution order and independent trials can
-run in parallel.
+index), so results do not depend on execution order.  The whole sweep is one
+batched solve.
 """
 from __future__ import annotations
 
 import hashlib
 import json
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__
+from .groups import Signal
 from .ratio import fourier_ratio
-from .recovery import RecoveryConfig, bernoulli_sample, recover_l1, restrict
+from .recovery import RecoveryConfig, SampleSet, bernoulli_sample, recover_l1_batch, restrict
+from .recovery import recover_l1  # noqa: F401  (perfbench's traced run wraps this name)
 from .signals import generate_signal
 from .systems import OrthonormalSystem, parse_system
 
@@ -45,7 +47,7 @@ class PhaseSweepConfig:
     step: float = 1.0
     tolerance: float = 1e-9
     threshold: float | None = None
-    jobs: int = 1
+    jobs: int = 1  # accepted for compatibility; the sweep runs as one batch
 
 
 @dataclass(frozen=True)
@@ -59,28 +61,19 @@ class TrialRecord:
     success: bool
 
 
-def _run_trial(args) -> TrialRecord:
-    system_spec, signal_spec, p, grid_index, trial, master_seed, eps, solver, threshold = args
-    system = parse_system(system_spec)
-    seed = derive_seed(master_seed, grid_index, trial)
+class TrialInputs(NamedTuple):
+    signal: Signal
+    sample: SampleSet
+    y: np.ndarray
+    sigma: float
+
+
+def trial_inputs(system: OrthonormalSystem, signal_spec: str, p: float, eps: float, seed: int) -> TrialInputs:
+    """The recovery trial recipe: the signal and the sample set are drawn from
+    seeds derived from ``seed``, and the fidelity radius is eps * ||f||_2."""
     f = generate_signal(system, signal_spec, seed=derive_seed(seed, 0))
     sample = bernoulli_sample(system.group, p, derive_seed(seed, 1))
-    sigma = eps * f.l2
-    y = restrict(f.values, sample)
-    config = RecoveryConfig(
-        max_iterations=solver[0], step=solver[1], tolerance=solver[2], fidelity_radius=sigma
-    )
-    result = recover_l1(system, sample, y, config, truth=f)
-    rel = result.relative_error if result.relative_error is not None else float("inf")
-    return TrialRecord(
-        p=p,
-        trial=trial,
-        seed=seed,
-        relative_error=rel,
-        iterations=result.iterations,
-        converged=result.converged,
-        success=rel <= threshold,
-    )
+    return TrialInputs(f, sample, restrict(f.values, sample), eps * f.l2)
 
 
 @dataclass(frozen=True)
@@ -92,8 +85,7 @@ class PhaseSweepReport:
 
     def to_json(self) -> str:
         config = asdict(self.config)
-        # worker count has no effect on the results and must not make
-        # otherwise-identical reports differ
+        # jobs has no effect and must not make otherwise-identical reports differ
         config.pop("jobs", None)
         payload = {
             "config": config,
@@ -120,40 +112,60 @@ def run_phase_sweep(config: PhaseSweepConfig) -> PhaseSweepReport:
         raise ValueError("phase sweep needs at least one p value")
     if any(not 0.0 < p <= 1.0 for p in config.p_values):
         raise ValueError("p values must lie in (0, 1]")
+    if config.trials < 1:
+        raise ValueError("phase sweep needs at least one trial")
     threshold = (
         config.threshold if config.threshold is not None else success_threshold(max(config.eps, 0.0))
     )
-    solver = (config.max_iterations, config.step, config.tolerance)
-    tasks = [
-        (
-            config.system,
-            config.signal,
-            p,
-            grid_index,
-            trial,
-            config.master_seed,
-            config.eps,
-            solver,
-            threshold,
-        )
+    system = parse_system(config.system)
+    grid = [
+        (p, trial, derive_seed(config.master_seed, grid_index, trial))
         for grid_index, p in enumerate(config.p_values)
         for trial in range(config.trials)
     ]
-    if config.jobs > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            records = list(pool.map(_run_trial, tasks))
-    else:
-        records = [_run_trial(t) for t in tasks]
+    inputs = [trial_inputs(system, config.signal, p, config.eps, seed) for p, _, seed in grid]
+    configs = [
+        RecoveryConfig(
+            max_iterations=config.max_iterations,
+            step=config.step,
+            tolerance=config.tolerance,
+            fidelity_radius=t.sigma,
+        )
+        for t in inputs
+    ]
+    results = recover_l1_batch(
+        system, [t.sample for t in inputs], [t.y for t in inputs], configs, [t.signal for t in inputs]
+    )
+    records = []
+    for (p, trial, seed), result in zip(grid, results):
+        rel = result.relative_error if result.relative_error is not None else float("inf")
+        records.append(
+            TrialRecord(
+                p=p,
+                trial=trial,
+                seed=seed,
+                relative_error=rel,
+                iterations=result.iterations,
+                converged=result.converged,
+                success=rel <= threshold,
+            )
+        )
     aggregates = []
-    for p in config.p_values:
-        here = [r for r in records if r.p == p]
+    for grid_index, p in enumerate(config.p_values):
+        here = records[grid_index * config.trials : (grid_index + 1) * config.trials]
         errors = np.array([r.relative_error for r in here])
+        iterations = np.array([r.iterations for r in here])
         aggregates.append(
             {
                 "p": p,
                 "trials": len(here),
                 "success_rate": float(np.mean([r.success for r in here])),
                 "mean_relative_error": float(np.mean(errors)),
+                "max_relative_error": float(np.max(errors)),
+                "nonconverged": sum(not r.converged for r in here),
+                "iterations_p50": float(np.percentile(iterations, 50)),
+                "iterations_p95": float(np.percentile(iterations, 95)),
+                "iterations_max": int(np.max(iterations)),
             }
         )
     return PhaseSweepReport(config=config, records=tuple(records), aggregates=tuple(aggregates))

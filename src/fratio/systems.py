@@ -41,6 +41,8 @@ class OrthonormalSystem:
     def tau(self) -> float:
         raise NotImplementedError
 
+    # The array transforms take (..., M) arrays and act along the last axis,
+    # so a stack of B problems is one call on a (B, M) array.
     def _analyze_array(self, values: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
@@ -60,9 +62,7 @@ class OrthonormalSystem:
 
     def basis_matrix(self) -> np.ndarray:
         """Dense matrix Phi with Phi[x, j] = phi_j(x).  Intended for small groups."""
-        eye = np.eye(self.size, dtype=np.complex128)
-        cols = [self._synthesize_array(eye[:, j]) for j in range(self.size)]
-        return np.stack(cols, axis=1)
+        return self._synthesize_array(np.eye(self.size, dtype=np.complex128)).T
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.system_id})"
@@ -78,12 +78,18 @@ class CharacterSystem(OrthonormalSystem):
         return self.size ** -0.5
 
     def _analyze_array(self, values: np.ndarray) -> np.ndarray:
-        shaped = values.reshape(self.group.shape)
-        return np.fft.fftn(shaped, norm="ortho").reshape(-1)
+        return self._transform(values, np.fft.fft)
 
     def _synthesize_array(self, entries: np.ndarray) -> np.ndarray:
-        shaped = entries.reshape(self.group.shape)
-        return np.fft.ifftn(shaped, norm="ortho").reshape(-1)
+        return self._transform(entries, np.fft.ifft)
+
+    def _transform(self, values: np.ndarray, fft) -> np.ndarray:
+        # one 1-D transform per factor, last factor first, as fftn does;
+        # fftn's argument handling costs more than a small transform itself
+        shaped = values.reshape(values.shape[:-1] + self.group.shape)
+        for axis in range(-1, -len(self.group.shape) - 1, -1):
+            shaped = fft(shaped, axis=axis, norm="ortho")
+        return shaped.reshape(values.shape)
 
 
 class WalshHadamardSystem(CharacterSystem):
@@ -126,12 +132,14 @@ class GaborBlockSystem(OrthonormalSystem):
         return self.N ** -0.5
 
     def _analyze_array(self, values: np.ndarray) -> np.ndarray:
-        shaped = values.reshape(self.N, self.T)
-        return np.fft.fft(shaped, axis=0, norm="ortho").reshape(-1)
+        lead = values.shape[:-1]
+        shaped = values.reshape(lead + (self.N, self.T))
+        return np.fft.fft(shaped, axis=-2, norm="ortho").reshape(values.shape)
 
     def _synthesize_array(self, entries: np.ndarray) -> np.ndarray:
-        shaped = entries.reshape(self.N, self.T)
-        return np.fft.ifft(shaped, axis=0, norm="ortho").reshape(-1)
+        lead = entries.shape[:-1]
+        shaped = entries.reshape(lead + (self.N, self.T))
+        return np.fft.ifft(shaped, axis=-2, norm="ortho").reshape(entries.shape)
 
 
 class HaarSystem(OrthonormalSystem):
@@ -163,24 +171,28 @@ class HaarSystem(OrthonormalSystem):
         return max(M ** -0.5, finest)
 
     def _analyze_array(self, values: np.ndarray) -> np.ndarray:
-        out = np.empty_like(values.astype(np.complex128))
         approx = values.astype(np.complex128)
-        while approx.shape[0] > 1:
-            even, odd = approx[0::2], approx[1::2]
-            half = approx.shape[0] // 2
-            out[half : 2 * half] = (even - odd) / _SQRT2
-            approx = (even + odd) / _SQRT2
-        out[0] = approx[0]
+        out = np.empty_like(approx)
+        while approx.shape[-1] > 1:
+            even, odd = approx[..., 0::2], approx[..., 1::2]
+            half = approx.shape[-1] // 2
+            np.subtract(even, odd, out=out[..., half : 2 * half])
+            approx = even + odd
+            approx /= _SQRT2
+        # every detail is scaled once, so one pass over all of them does it
+        out[..., 1:] /= _SQRT2
+        out[..., 0] = approx[..., 0]
         return out
 
     def _synthesize_array(self, entries: np.ndarray) -> np.ndarray:
-        approx = entries[:1].astype(np.complex128)
+        approx = entries[..., :1].astype(np.complex128)
         half = 1
-        while half < entries.shape[0]:
-            detail = entries[half : 2 * half]
-            merged = np.empty(2 * half, dtype=np.complex128)
-            merged[0::2] = (approx + detail) / _SQRT2
-            merged[1::2] = (approx - detail) / _SQRT2
+        while half < entries.shape[-1]:
+            detail = entries[..., half : 2 * half]
+            merged = np.empty(entries.shape[:-1] + (2 * half,), dtype=np.complex128)
+            np.add(approx, detail, out=merged[..., 0::2])
+            np.subtract(approx, detail, out=merged[..., 1::2])
+            merged /= _SQRT2
             approx = merged
             half *= 2
         return approx

@@ -1,7 +1,10 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.stats import binom
 
 from fratio import (
@@ -11,12 +14,15 @@ from fratio import (
     bernoulli_sample,
     erasure_row_statistics,
     make_dft,
+    parse_system,
     project_fidelity,
     recover_l1,
+    recover_l1_batch,
     sample_complexity,
     soft_threshold,
 )
-from fratio.harness import derive_seed
+from fratio import recovery
+from fratio.harness import PhaseSweepConfig, derive_seed, run_phase_sweep, success_threshold
 from fratio.recovery import extend_by_zero, restrict
 from fratio.signals import sparse_signal
 
@@ -48,6 +54,11 @@ class TestBernoulliSample:
             bernoulli_sample(g, 0.0, 0)
         with pytest.raises(ValueError):
             bernoulli_sample(g, 1.5, 0)
+
+    @pytest.mark.parametrize("kept", [[0, 2, 2], [-1, 1], [0, 4]], ids=["duplicate", "negative", "out-of-range"])
+    def test_rejects_indices_that_break_the_partial_isometry(self, kept):
+        with pytest.raises(ValueError):
+            SampleSet(group=FiniteAbelianGroup((4,)), kept=np.array(kept), p=0.5, seed=0)
 
 
 class TestSoftThreshold:
@@ -129,6 +140,62 @@ class TestProjectFidelity:
         assert np.max(np.abs(back - v)) < 1e-10
 
 
+def kkt_projection(A, c0, y, sigma):
+    """Reference projection of c0 onto {c : ||A c - y||_2 <= sigma} for any matrix A.
+
+    Stationarity gives c(lam) = (I + lam A^H A)^{-1} (c0 + lam A^H y) with a
+    multiplier lam >= 0, and ||A c(lam) - y|| falls as lam grows, so bisection
+    finds the lam at which it meets sigma.  For sigma = 0 the answer is the
+    minimum-norm correction onto the affine set A c = y.  Nothing here assumes
+    that A has orthonormal rows.
+    """
+
+    def residual(c):
+        return np.linalg.norm(A @ c - y)
+
+    if residual(c0) <= sigma:
+        return c0.copy()
+    if sigma == 0:
+        return c0 - np.linalg.lstsq(A, A @ c0 - y, rcond=None)[0]
+    gram, rhs, eye = A.conj().T @ A, A.conj().T @ y, np.eye(A.shape[1])
+
+    def solve(lam):
+        return scipy.linalg.solve(eye + lam * gram, c0 + lam * rhs, assume_a="pos")
+
+    lo, hi = 0.0, 1.0
+    while residual(solve(hi)) > sigma:
+        hi *= 2.0
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if residual(solve(mid)) > sigma else (lo, mid)
+    return solve(hi)
+
+
+@pytest.mark.parametrize("spec", ["dft:4x4", "wht:4", "gabor:N=8,T=2", "haar:16"])
+def test_batched_projection_matches_kkt_oracle(spec):
+    system = parse_system(spec)
+    phi = system.basis_matrix()
+    rng = np.random.default_rng(derive_seed(12, system.size))
+    rows = []
+    for i in range(6):
+        sample = bernoulli_sample(system.group, 0.5, derive_seed(13, i))
+        y = restrict(complex_gaussian(system.group, derive_seed(14, i)).values, sample)
+        c0 = rng.standard_normal(system.size) + 1j * rng.standard_normal(system.size)
+        gap = np.linalg.norm(phi[sample.kept] @ c0 - y)
+        # sigma = 0, two clipping radii, and three radii the start already meets
+        sigma = (0.0, 0.3 * gap, 0.9 * gap, gap, 1.5 * gap, 3.0 * gap)[i]
+        rows.append((sample, y, c0, sigma))
+    masks = np.stack([extend_by_zero(np.ones(s.count), s) for s, *_ in rows])
+    y_ext = np.stack([extend_by_zero(y, s) for s, y, *_ in rows])
+    c0s = np.stack([c0 for *_, c0, _ in rows])
+    sigmas = np.array([sigma for *_, sigma in rows])
+    got = project_fidelity(system, c0s, masks, y_ext, sigmas)
+    for (sample, y, c0, sigma), row in zip(rows, got):
+        expected = kkt_projection(phi[sample.kept], c0, y, sigma)
+        assert np.max(np.abs(row - expected)) < 1e-9 * np.linalg.norm(c0)
+        assert np.linalg.norm(phi[sample.kept] @ row - y) <= sigma + 1e-9
+
+
 def brute_force_one_sparse(system, sample, y):
     """Fit every 1-sparse coefficient candidate to the samples; best residual wins."""
     phi = system.basis_matrix()
@@ -204,6 +271,18 @@ class TestRecoverL1:
         assert not res.converged
         assert res.iterations == 2
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_values(self, bad):
+        system = make_dft(FiniteAbelianGroup((16,)))
+        f = sparse_signal(system, 1, 0)
+        sample = bernoulli_sample(system.group, 0.75, 1)
+        y = restrict(f.values, sample).copy()
+        y[0] = bad
+        with pytest.raises(ValueError):
+            recover_l1(system, sample, y)
+        with pytest.raises(ValueError):
+            recover_l1_batch(system, [sample, sample], [restrict(f.values, sample), y])
+
     def test_success_monotone_in_p(self):
         system = make_dft(FiniteAbelianGroup((32,)))
         rates = []
@@ -216,6 +295,99 @@ class TestRecoverL1:
                 ok += res.relative_error < 1e-5
             rates.append(ok / 50)
         assert all(b >= a - 0.1 for a, b in zip(rates, rates[1:]))
+
+
+PINNED = json.loads((Path(__file__).parent / "data" / "pinned_recovery.json").read_text())
+
+
+def assert_matches_pinned(got, pinned):
+    """got: (iterations, converged, success, relative_error) per trial, in pinned order."""
+    assert len(got) == len(pinned)
+    for row, expected in zip(got, pinned):
+        assert tuple(row[:3]) == tuple(expected[2:5])
+        assert row[3] == pytest.approx(expected[5], rel=1e-12, abs=0)
+
+
+class TestRecoverL1Batch:
+    """The batched solver against per-trial results of the serial solver it
+    replaced, pinned in tests/data/pinned_recovery.json."""
+
+    def test_phase_sweep_matches_pinned_serial_results(self):
+        report = run_phase_sweep(
+            PhaseSweepConfig(system="dft:64", signal="sparse:3", p_values=(0.25, 0.5, 0.75, 1.0),
+                             trials=50, master_seed=5)
+        )
+        got = [(r.iterations, r.converged, r.success, r.relative_error) for r in report.records]
+        assert_matches_pinned(got, PINNED["criterion_5c_sweep"])
+
+    def test_noisy_fixtures_match_pinned_serial_results_in_one_batch(self):
+        system = make_dft(FiniteAbelianGroup((64,)))
+        signals, samples, configs, epss = [], [], [], []
+        for gi, eps in enumerate((0.1, 0.2)):
+            for trial in range(10):
+                f = sparse_signal(system, 3, derive_seed(6, gi, trial, 0))
+                signals.append(f)
+                samples.append(bernoulli_sample(system.group, 0.75, derive_seed(6, gi, trial, 1)))
+                configs.append(RecoveryConfig(fidelity_radius=eps * f.l2))
+                epss.append(eps)
+        ys = [restrict(f.values, s) for f, s in zip(signals, samples)]
+        results = recover_l1_batch(system, samples, ys, configs, signals)
+        got = [
+            (r.iterations, r.converged, r.relative_error <= success_threshold(eps), r.relative_error)
+            for r, eps in zip(results, epss)
+        ]
+        assert_matches_pinned(got, PINNED["criterion_6_noisy"])
+
+    @pytest.mark.parametrize("spec", ["dft:4x8", "wht:5", "gabor:N=8,T=4", "haar:32"])
+    def test_rows_do_not_depend_on_the_batch(self, spec):
+        system = parse_system(spec)
+        problems = []
+        for i in range(6):
+            f = sparse_signal(system, 2, derive_seed(15, i))
+            sample = bernoulli_sample(system.group, 0.6, derive_seed(16, i))
+            eps = (0.0, 0.05, 0.2)[i % 3]
+            problems.append((sample, restrict(f.values, sample), RecoveryConfig(fidelity_radius=eps * f.l2), f))
+
+        def solve(order):
+            samples, ys, configs, truths = (list(col) for col in zip(*(problems[i] for i in order)))
+            return dict(zip(order, recover_l1_batch(system, samples, ys, configs, truths)))
+
+        alone = {i: solve([i])[i] for i in range(6)}
+        full, shuffled = solve(list(range(6))), solve([3, 0, 5, 1, 4, 2])
+        assert len({r.iterations for r in alone.values()}) > 1  # rows leave the stack at different times
+        for i, ref in alone.items():
+            for other in (full[i], shuffled[i]):
+                assert (other.iterations, other.converged) == (ref.iterations, ref.converged)
+                assert np.array_equal(other.recovered.values, ref.recovered.values)
+                assert other.relative_error == ref.relative_error
+                assert other.fidelity_residual == ref.fidelity_residual
+
+    def test_large_batches_are_solved_in_stacks(self, monkeypatch):
+        system = make_dft(FiniteAbelianGroup((32,)))
+        signals = [sparse_signal(system, 2, derive_seed(17, i)) for i in range(5)]
+        samples = [bernoulli_sample(system.group, 0.6, derive_seed(18, i)) for i in range(5)]
+        ys = [restrict(f.values, s) for f, s in zip(signals, samples)]
+        whole = recover_l1_batch(system, samples, ys, truths=signals)
+        monkeypatch.setattr(recovery, "_STACK_ENTRIES", 2 * system.size)
+        stacked = recover_l1_batch(system, samples, ys, truths=signals)
+        assert [r.iterations for r in stacked] == [r.iterations for r in whole]
+        for a, b in zip(stacked, whole):
+            assert np.array_equal(a.recovered.values, b.recovered.values)
+            assert a.relative_error == b.relative_error
+
+    def test_rejects_mismatched_inputs(self):
+        system = make_dft(FiniteAbelianGroup((8,)))
+        sample = bernoulli_sample(system.group, 1.0, 0)
+        y = np.ones(8)
+        with pytest.raises(ValueError):
+            recover_l1_batch(system, [sample, sample], [y])
+        with pytest.raises(ValueError):
+            recover_l1_batch(system, [sample], [y[:4]])
+        with pytest.raises(ValueError):
+            recover_l1_batch(system, [sample], [y], [RecoveryConfig(), RecoveryConfig()])
+        with pytest.raises(ValueError):
+            recover_l1_batch(system, [sample, sample], [y, y], [RecoveryConfig(), RecoveryConfig(step=0.5)])
+        assert recover_l1_batch(system, [], []) == []
 
 
 class TestSampleComplexity:
