@@ -1,36 +1,77 @@
 """Bit-level stream I/O for the descriptor format.
 
-Bits are written MSB-first.  Integers use either fixed widths, unsigned
-LEB128-style varints (7 payload bits per byte-sized chunk), or a
-self-delimiting signed code: a unary width prefix followed by a minimal-width
-two's-complement payload.
+Bits are written MSB-first and held as numpy arrays of 0/1 bytes, packed and
+unpacked with ``np.packbits``/``np.unpackbits``.  Integers use either fixed
+widths, unsigned LEB128-style varints (7 payload bits per byte-sized chunk),
+or a self-delimiting signed code: a unary width prefix (width-1 ones then a
+zero) followed by a minimal-width two's-complement payload, 2 * width bits in
+all.
+
+The scalar methods write and read the descriptor header; the array methods
+write and read a whole array of fixed-width or signed codes in a few
+vectorized passes, which is how the descriptor body is coded.  A scalar call
+is the one-element case of the array method, so each code has one
+implementation.  Array values are at most 64 bits wide.
 """
 from __future__ import annotations
 
 import struct
+
+import numpy as np
+
+_WORD = 64  # widest fixed-width field and widest signed payload
 
 
 class MalformedStreamError(ValueError):
     """Raised when a descriptor stream is truncated or ill-formed."""
 
 
+def signed_widths(values) -> np.ndarray:
+    """Payload width of each value's signed code, in exact integer arithmetic.
+
+    The width is the bit length of v (of -v-1 when v < 0) plus a sign bit, so
+    a value's code takes 2 * width bits.
+    """
+    v = np.asarray(values, dtype=np.int64)
+    x = v ^ (v >> 63)  # v when v >= 0, -v-1 when v < 0
+    width = np.ones(x.shape, dtype=np.int64)
+    for shift in (32, 16, 8, 4, 2, 1):
+        wide = (x >> shift) != 0
+        width += wide * shift
+        x = np.where(wide, x >> shift, x)
+    return width + x
+
+
 class BitWriter:
     def __init__(self):
-        self._bits: list[int] = []
+        self._chunks: list[np.ndarray] = []
+        self._length = 0
 
     @property
     def bit_length(self) -> int:
-        return len(self._bits)
+        return self._length
+
+    def _append(self, bits: np.ndarray) -> None:
+        self._chunks.append(bits)
+        self._length += bits.size
 
     def write(self, value: int, nbits: int) -> None:
-        if nbits < 0 or value < 0 or (nbits < value.bit_length()):
+        if value < 0 or not value.bit_length() <= nbits <= _WORD:
             raise ValueError(f"cannot write {value} in {nbits} bits")
-        for shift in range(nbits - 1, -1, -1):
-            self._bits.append((value >> shift) & 1)
+        self.write_fixed_array(np.array([value], dtype=np.uint64), nbits)
+
+    def write_fixed_array(self, values, nbits: int) -> None:
+        """Each value in nbits bits, MSB first."""
+        values = np.asarray(values).reshape(-1)
+        if not 0 <= nbits <= _WORD:
+            raise ValueError(f"fixed-width fields hold at most {_WORD} bits, not {nbits}")
+        if values.size and (values.min() < 0 or (nbits < _WORD and values.max() >> nbits)):
+            raise ValueError(f"cannot write values outside [0, 2^{nbits}) in {nbits} bits")
+        words = np.ascontiguousarray(values, dtype=">u8").view(np.uint8).reshape(-1, 8)
+        self._append(np.unpackbits(words, axis=1)[:, _WORD - nbits :].reshape(-1))
 
     def write_bytes(self, data: bytes) -> None:
-        for b in data:
-            self.write(b, 8)
+        self._append(np.unpackbits(np.frombuffer(data, dtype=np.uint8)))
 
     def write_varint(self, value: int) -> None:
         if value < 0:
@@ -46,51 +87,60 @@ class BitWriter:
         self.write_bytes(struct.pack(">d", value))
 
     def write_signed(self, value: int) -> None:
-        """Unary width prefix (width-1 ones then a zero), then two's complement."""
-        if value >= 0:
-            width = max(1, value.bit_length() + 1)
-        else:
-            width = (-value - 1).bit_length() + 1
-        for _ in range(width - 1):
-            self._bits.append(1)
-        self._bits.append(0)
-        self.write(value & ((1 << width) - 1), width)
+        self.write_signed_array(np.array([value], dtype=np.int64))
+
+    def write_signed_array(self, values) -> None:
+        """Signed codes of all values, back to back."""
+        v = np.asarray(values, dtype=np.int64).reshape(-1)
+        if not v.size:
+            return
+        width = signed_widths(v)
+        length = 2 * width
+        ends = np.cumsum(length)
+        # bits from each stream bit to the last bit of its code: the prefix
+        # holds the distances above width, its closing zero sits at width,
+        # and payload bit `distance` is bit `distance` of the value
+        distance = np.repeat(ends - 1, length) - np.arange(int(ends[-1]))
+        bit_width = np.repeat(width, length)
+        payload = (np.repeat(v, length) >> np.minimum(distance, _WORD - 1)) & 1
+        self._append(np.where(distance < bit_width, payload, distance > bit_width).astype(np.uint8))
 
     def to_bytes(self) -> bytes:
-        bits = self._bits + [0] * (-len(self._bits) % 8)
-        out = bytearray()
-        for i in range(0, len(bits), 8):
-            byte = 0
-            for b in bits[i : i + 8]:
-                byte = (byte << 1) | b
-            out.append(byte)
-        return bytes(out)
+        if not self._chunks:
+            return b""
+        return np.packbits(np.concatenate(self._chunks)).tobytes()
 
 
 class BitReader:
     def __init__(self, data: bytes):
-        self._data = data
+        self._bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
         self._pos = 0
 
     @property
     def bits_read(self) -> int:
         return self._pos
 
-    def _bit(self) -> int:
-        byte_index, offset = divmod(self._pos, 8)
-        if byte_index >= len(self._data):
+    def _take(self, nbits: int) -> np.ndarray:
+        if nbits > self._bits.size - self._pos:
             raise MalformedStreamError("stream truncated")
-        self._pos += 1
-        return (self._data[byte_index] >> (7 - offset)) & 1
+        bits = self._bits[self._pos : self._pos + nbits]
+        self._pos += nbits
+        return bits
 
     def read(self, nbits: int) -> int:
-        value = 0
-        for _ in range(nbits):
-            value = (value << 1) | self._bit()
-        return value
+        return int(self.read_fixed_array(1, nbits)[0])
+
+    def read_fixed_array(self, count: int, nbits: int) -> np.ndarray:
+        """count values of nbits bits each, as uint64."""
+        if not 0 <= nbits <= _WORD:
+            raise ValueError(f"fixed-width fields hold at most {_WORD} bits, not {nbits}")
+        bits = self._take(count * nbits).reshape(count, nbits)
+        words = np.zeros((count, _WORD), dtype=np.uint8)
+        words[:, _WORD - nbits :] = bits
+        return np.packbits(words, axis=1).view(">u8").reshape(-1).astype(np.uint64)
 
     def read_bytes(self, n: int) -> bytes:
-        return bytes(self.read(8) for _ in range(n))
+        return np.packbits(self._take(8 * n)).tobytes()
 
     def read_varint(self) -> int:
         value = 0
@@ -108,12 +158,51 @@ class BitReader:
         return struct.unpack(">d", self.read_bytes(8))[0]
 
     def read_signed(self) -> int:
-        width = 1
-        while self._bit():
-            width += 1
-            if width > 64:
-                raise MalformedStreamError("signed width prefix too long")
-        value = self.read(width)
-        if value >= 1 << (width - 1):
-            value -= 1 << width
-        return value
+        return int(self.read_signed_array(1)[0])
+
+    def read_signed_array(self, count: int) -> np.ndarray:
+        """count signed codes, as int64."""
+        start = self._pos
+        if 2 * count > self._bits.size - start:
+            raise MalformedStreamError("stream truncated")
+        if not count:
+            return np.empty(0, dtype=np.int64)
+        # no code is longer than 2 * _WORD bits, so count codes lie in this window
+        window = self._bits[start : start + 2 * _WORD * count]
+        end = window.size
+        # a code at p of width w = (first zero at or after p) - p + 1 is
+        # followed by the next at p + 2w; `end` stands in for a missing zero
+        zeros = np.flatnonzero(window == 0)
+        next_zero = np.full(end + 1, end)
+        next_zero[zeros] = zeros
+        next_zero = np.minimum.accumulate(next_zero[::-1])[::-1]
+        jump = memoryview(2 * next_zero - np.arange(end + 1) + 2)
+        starts = []
+        pos = 0
+        for _ in range(count):
+            starts.append(pos)
+            pos = jump[pos]
+            if pos > end:
+                break
+        starts.append(pos)
+        width = np.diff(starts) // 2
+        if width.size and width.max() > _WORD:
+            raise MalformedStreamError("signed width prefix too long")
+        if pos > end:
+            raise MalformedStreamError("stream truncated")
+        self._pos = start + pos
+        # every payload bit at once, summed into its value's word, then sign-extended
+        first = np.cumsum(width) - width
+        offset = np.arange(int(width.sum())) - np.repeat(first, width)
+        bits = window[np.repeat(np.cumsum(2 * width) - width, width) + offset].astype(np.uint64)
+        unsigned = np.add.reduceat(bits << (np.repeat(width - 1, width) - offset).astype(np.uint64), first)
+        pad = (_WORD - width).astype(np.uint64)
+        return (unsigned << pad).view(np.int64) >> pad.view(np.int64)
+
+    def check_end(self) -> None:
+        """The stream must end here, in zero padding bits short of a byte."""
+        rest = self._bits[self._pos :]
+        if rest.size >= 8:
+            raise MalformedStreamError("trailing bytes after the stream")
+        if rest.any():
+            raise MalformedStreamError("nonzero padding bits")

@@ -9,7 +9,10 @@ eps * ||f||_2 of the original.
 
 Stream layout: magic "FRRD", version byte, factor count + factors (varints),
 system label byte, k (varint), float64 ||c||_2, float64 eps, k support indices
-at ceil(log2 M) fixed bits each, then k (re, im) signed self-delimiting pairs.
+at ceil(log2 M) fixed bits each, then k (re, im) signed self-delimiting pairs,
+then zero bits up to the next byte boundary.  The decoder rejects domains of
+more than MAX_DOMAIN_SIZE points, non-finite floats, nonzero padding and
+trailing bytes.
 """
 from __future__ import annotations
 
@@ -18,40 +21,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bitio import BitReader, BitWriter, MalformedStreamError
+from .bitio import BitReader, BitWriter, MalformedStreamError, signed_widths
 from .groups import FiniteAbelianGroup, Signal
-from .ratio import fourier_ratio, soft_sparsify
-from .systems import (
-    OrthonormalSystem,
-    make_dft,
-    make_gabor_block,
-    make_haar,
-    make_wht,
-)
+from .ratio import check_bound_args, fourier_ratio, soft_sparsify
+from .systems import SYSTEMS, OrthonormalSystem, system_on_group
 
 MAGIC = b"FRRD"
 VERSION = 1
+# Largest domain a stream may declare: 2^24 points, a 256 MiB complex signal.
+# A few header bytes could otherwise ask the decoder for any allocation.
+MAX_DOMAIN_SIZE = 1 << 24
 
-_LABEL_CODES = {"dft": 0, "wht": 1, "gabor": 2, "haar": 3}
-_CODE_LABELS = {v: k for k, v in _LABEL_CODES.items()}
-
-
-def _system_from_parts(label: str, group: FiniteAbelianGroup) -> OrthonormalSystem:
-    if label == "dft":
-        return make_dft(group)
-    if label == "wht":
-        if any(n != 2 for n in group.factors):
-            raise MalformedStreamError("wht descriptor with non-binary factors")
-        return make_wht(len(group.factors))
-    if label == "gabor":
-        if len(group.factors) != 2:
-            raise MalformedStreamError("gabor descriptor needs exactly two factors")
-        return make_gabor_block(group.factors[0], group.factors[1])
-    if label == "haar":
-        if len(group.factors) != 1:
-            raise MalformedStreamError("haar descriptor needs exactly one factor")
-        return make_haar(group.factors[0])
-    raise MalformedStreamError(f"unknown system label {label!r}")
+_CODE_LABELS = {kind.code: label for label, kind in SYSTEMS.items()}
+# bits of the header fields of fixed size: magic, version, label, two float64
+_FIXED_HEADER_BITS = 8 * len(MAGIC) + 8 + 8 + 2 * 64
 
 
 @dataclass(frozen=True)
@@ -83,21 +66,20 @@ class Descriptor:
         return writer.to_bytes()
 
     def _write(self, writer: BitWriter) -> None:
+        if self.group.size > MAX_DOMAIN_SIZE:
+            raise ValueError(f"domain of {self.group.size} points exceeds the decoders' cap of {MAX_DOMAIN_SIZE}")
+        # _header_bits counts these fields; keep the two in step
         writer.write_bytes(MAGIC)
         writer.write(VERSION, 8)
         writer.write_varint(len(self.factors))
         for n in self.factors:
             writer.write_varint(n)
-        writer.write(_LABEL_CODES[self.label], 8)
+        writer.write(SYSTEMS[self.label].code, 8)
         writer.write_varint(self.k)
         writer.write_float64(self.coeff_l2)
         writer.write_float64(self.eps)
-        index_bits = _index_bits(self.group.size)
-        for idx in self.support:
-            writer.write(int(idx), index_bits)
-        for re, im in zip(self.q_re, self.q_im):
-            writer.write_signed(int(re))
-            writer.write_signed(int(im))
+        writer.write_fixed_array(self.support, _index_bits(self.group.size))
+        writer.write_signed_array(np.column_stack((self.q_re, self.q_im)))
 
     @classmethod
     def deserialize(cls, data: bytes) -> "Descriptor":
@@ -113,6 +95,9 @@ class Descriptor:
         factors = tuple(reader.read_varint() for _ in range(count))
         if any(n < 1 for n in factors):
             raise MalformedStreamError("invalid cyclic factor")
+        group = FiniteAbelianGroup(factors)
+        if group.size > MAX_DOMAIN_SIZE:
+            raise MalformedStreamError(f"domain of {group.size} points exceeds the cap of {MAX_DOMAIN_SIZE}")
         label_code = reader.read(8)
         if label_code not in _CODE_LABELS:
             raise MalformedStreamError(f"unknown system code {label_code}")
@@ -120,25 +105,22 @@ class Descriptor:
         k = reader.read_varint()
         coeff_l2 = reader.read_float64()
         eps = reader.read_float64()
-        group = FiniteAbelianGroup(factors)
+        if not (math.isfinite(coeff_l2) and math.isfinite(eps)):
+            raise MalformedStreamError("non-finite coefficient norm or eps")
         if k > group.size:
             raise MalformedStreamError("support larger than the domain")
-        index_bits = _index_bits(group.size)
-        support = np.array([reader.read(index_bits) for _ in range(k)], dtype=np.int64)
+        support = reader.read_fixed_array(k, _index_bits(group.size))
         if np.any(support >= group.size):
             raise MalformedStreamError("support index out of range")
-        q_re = np.empty(k, dtype=np.int64)
-        q_im = np.empty(k, dtype=np.int64)
-        for j in range(k):
-            q_re[j] = reader.read_signed()
-            q_im[j] = reader.read_signed()
+        q_re, q_im = reader.read_signed_array(2 * k).reshape(k, 2).T.copy()
+        reader.check_end()
         return cls(
             factors=factors,
             label=label,
             k=k,
             coeff_l2=coeff_l2,
             eps=eps,
-            support=support,
+            support=support.astype(np.int64),
             q_re=q_re,
             q_im=q_im,
         )
@@ -155,6 +137,16 @@ class BitAccount:
 
 def _index_bits(M: int) -> int:
     return max(0, (M - 1).bit_length())
+
+
+def _varint_bits(value: int) -> int:
+    return 8 * max(1, -(-value.bit_length() // 7))
+
+
+def _header_bits(d: Descriptor) -> int:
+    """Bits Descriptor._write spends before the support indices."""
+    varints = (len(d.factors), *d.factors, d.k)
+    return _FIXED_HEADER_BITS + sum(_varint_bits(v) for v in varints)
 
 
 def _quantize_toward_zero(values: np.ndarray, delta: float) -> np.ndarray:
@@ -195,13 +187,10 @@ def rd_encode(system: OrthonormalSystem, f: Signal, eps: float) -> tuple[Descrip
 
 
 def _account(d: Descriptor, r: float) -> BitAccount:
+    """Exact bit counts of d's stream, in closed form; header_bits includes the padding."""
     support_bits = d.k * _index_bits(d.group.size)
-    coeff_writer = BitWriter()
-    for re, im in zip(d.q_re, d.q_im):
-        coeff_writer.write_signed(int(re))
-        coeff_writer.write_signed(int(im))
-    coefficient_bits = coeff_writer.bit_length
-    total = len(d.serialize()) * 8
+    coefficient_bits = 2 * int(signed_widths(d.q_re).sum() + signed_widths(d.q_im).sum())
+    total = 8 * -(-(_header_bits(d) + support_bits + coefficient_bits) // 8)
     header_bits = total - support_bits - coefficient_bits
     bound_terms = {
         "c0_term": rd_bit_bound(max(1.0, r), d.eps, d.group.size, C0=1.0, C1=0.0),
@@ -219,7 +208,10 @@ def _account(d: Descriptor, r: float) -> BitAccount:
 def rd_decode(descriptor: Descriptor | bytes) -> Signal:
     if isinstance(descriptor, (bytes, bytearray)):
         descriptor = Descriptor.deserialize(bytes(descriptor))
-    system = _system_from_parts(descriptor.label, descriptor.group)
+    try:
+        system = system_on_group(descriptor.label, descriptor.group)
+    except ValueError as exc:
+        raise MalformedStreamError(f"{descriptor.label} descriptor: {exc}") from None
     entries = np.zeros(system.size, dtype=np.complex128)
     if descriptor.k:
         entries[descriptor.support] = (
@@ -234,12 +226,7 @@ def rd_bit_bound(r: float, eps: float, M: int, C0: float = 1.0, C1: float = 1.0)
     L = log(r/eps) floored at 1; the decoder-program constant is reported
     separately as the fixed header size.
     """
-    if r < 1:
-        raise ValueError("ratio bound r must be >= 1")
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must lie in (0, 1)")
-    if M < 2:
-        raise ValueError("M must be >= 2")
+    check_bound_args(r, eps, M)
     L = max(1.0, math.log(r / eps))
     base = (r / eps) ** 2
     return C0 * base * L**2 * math.log(M) + C1 * base * L**3
@@ -248,12 +235,7 @@ def rd_bit_bound(r: float, eps: float, M: int, C0: float = 1.0, C1: float = 1.0)
 def rd_bit_bound_gabor(r: float, eps: float, N: int, T: int, C0: float = 1.0, C1: float = 1.0) -> float:
     """Variant of the bound for block time-frequency domains: the second term
     carries L^2 log(1/eps) instead of L^3, with M = N*T."""
-    if r < 1:
-        raise ValueError("ratio bound r must be >= 1")
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must lie in (0, 1)")
-    if N * T < 2:
-        raise ValueError("N*T must be >= 2")
+    check_bound_args(r, eps, N * T)
     L = max(1.0, math.log(r / eps))
     base = (r / eps) ** 2
     return C0 * base * L**2 * math.log(N * T) + C1 * base * L**2 * math.log(1.0 / eps)

@@ -6,6 +6,7 @@ tuple in an array of shape (n_1, ..., n_d).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +28,7 @@ class FiniteAbelianGroup:
 
     @property
     def size(self) -> int:
-        return int(np.prod(self.factors, dtype=np.int64))
+        return math.prod(self.factors)
 
     @property
     def shape(self) -> tuple[int, ...]:

@@ -24,6 +24,16 @@ def fourier_ratio(c) -> float:
     return float(np.sum(np.abs(v))) / l2
 
 
+def check_bound_args(r: float, eps: float, M: int) -> None:
+    """Validate the (ratio bound, accuracy, domain size) triple the bounds take."""
+    if r < 1:
+        raise ValueError("ratio bound r must be >= 1")
+    if not 0.0 < eps < 1.0:
+        raise ValueError("eps must lie in (0, 1)")
+    if M < 2:
+        raise ValueError("M must be >= 2")
+
+
 @dataclass(frozen=True)
 class SparsifyResult:
     support: np.ndarray

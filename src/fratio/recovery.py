@@ -17,6 +17,7 @@ import numpy as np
 from scipy.stats import binom
 
 from .groups import FiniteAbelianGroup, Signal
+from .ratio import check_bound_args
 from .systems import OrthonormalSystem
 
 
@@ -274,12 +275,7 @@ def sample_complexity(r: float, eps: float, M: int, tau: float, C: float = 1.0) 
 
     The log(r/eps) factor is floored at 1 so r/eps <= e stays nondegenerate.
     """
-    if r < 1:
-        raise ValueError("ratio bound r must be >= 1")
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must lie in (0, 1)")
-    if M < 2:
-        raise ValueError("M must be >= 2")
+    check_bound_args(r, eps, M)
     if tau <= 0:
         raise ValueError("tau must be positive")
     log_factor = max(1.0, math.log(r / eps))

@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .groups import CoefficientVector, FiniteAbelianGroup, Signal
 
 _SQRT2 = math.sqrt(2.0)
+_INV_SQRT2 = 1.0 / _SQRT2
 
 
 class OrthonormalSystem:
@@ -105,6 +107,29 @@ class WalshHadamardSystem(CharacterSystem):
 
     def _param_string(self) -> str:
         return str(self.n)
+
+    def _analyze_array(self, values: np.ndarray) -> np.ndarray:
+        return self._butterfly(values)
+
+    def _synthesize_array(self, entries: np.ndarray) -> np.ndarray:
+        return self._butterfly(entries)
+
+    def _butterfly(self, values: np.ndarray) -> np.ndarray:
+        # the orthonormal length-2 DFT along each factor, last factor first as
+        # in the character transform: (a0 + a1) r, (a0 - a1) r with r = 1/sqrt 2,
+        # the same arithmetic as np.fft, so the results agree bit for bit;
+        # forward and inverse coincide on Z_2
+        x = np.asarray(values, dtype=np.complex128)
+        lead, size = x.shape[:-1], x.shape[-1]
+        stride = 1
+        while stride < size:
+            pairs = x.reshape(lead + (-1, 2, stride))
+            x = np.empty_like(pairs)
+            np.add(pairs[..., 0, :], pairs[..., 1, :], out=x[..., 0, :])
+            np.subtract(pairs[..., 0, :], pairs[..., 1, :], out=x[..., 1, :])
+            x.view(np.float64)[...] *= _INV_SQRT2
+            stride *= 2
+        return x.reshape(values.shape)
 
 
 class GaborBlockSystem(OrthonormalSystem):
@@ -228,6 +253,55 @@ def check_boundedness(system: OrthonormalSystem) -> BoundednessCheck:
     return BoundednessCheck(tau=tau, bound=bound, passes=tau <= bound * (1.0 + 1e-12))
 
 
+def _wht_on(group: FiniteAbelianGroup) -> WalshHadamardSystem:
+    if any(n != 2 for n in group.factors):
+        raise ValueError("wht needs binary factors")
+    return make_wht(len(group.factors))
+
+
+def _gabor_on(group: FiniteAbelianGroup) -> GaborBlockSystem:
+    if len(group.factors) != 2:
+        raise ValueError("gabor needs exactly two factors")
+    return make_gabor_block(*group.factors)
+
+
+def _haar_on(group: FiniteAbelianGroup) -> HaarSystem:
+    if len(group.factors) != 1:
+        raise ValueError("haar needs exactly one factor")
+    return make_haar(group.factors[0])
+
+
+def _dft_from_params(params: str) -> CharacterSystem:
+    return make_dft(FiniteAbelianGroup(tuple(int(v) for v in params.split("x"))))
+
+
+def _gabor_from_params(params: str) -> GaborBlockSystem:
+    kv = dict(item.split("=") for item in params.split(","))
+    return make_gabor_block(int(kv["N"]), int(kv["T"]))
+
+
+@dataclass(frozen=True)
+class SystemKind:
+    code: int  # the label's byte in descriptor streams
+    from_params: Callable[[str], OrthonormalSystem]  # spec parameters: "4x6", "5", "N=16,T=8", "64"
+    on_group: Callable[[FiniteAbelianGroup], OrthonormalSystem]  # raises ValueError on a wrong group
+
+
+# The one table of system labels; spec parsing and the descriptor codec derive from it.
+SYSTEMS: dict[str, SystemKind] = {
+    "dft": SystemKind(0, _dft_from_params, make_dft),
+    "wht": SystemKind(1, lambda params: make_wht(int(params)), _wht_on),
+    "gabor": SystemKind(2, _gabor_from_params, _gabor_on),
+    "haar": SystemKind(3, lambda params: make_haar(int(params)), _haar_on),
+}
+
+
+def _kind(label: str) -> SystemKind:
+    if label not in SYSTEMS:
+        raise ValueError(f"unknown system label {label!r}")
+    return SYSTEMS[label]
+
+
 def parse_system(spec: str) -> OrthonormalSystem:
     """Build a system from a spec string: "dft:4x6", "wht:5", "gabor:N=16,T=8", "haar:64"."""
     label, _, params = spec.partition(":")
@@ -235,14 +309,9 @@ def parse_system(spec: str) -> OrthonormalSystem:
     params = params.strip()
     if not params:
         raise ValueError(f"system spec {spec!r} is missing parameters")
-    if label == "dft":
-        factors = tuple(int(v) for v in params.split("x"))
-        return make_dft(FiniteAbelianGroup(factors))
-    if label == "wht":
-        return make_wht(int(params))
-    if label == "gabor":
-        kv = dict(item.split("=") for item in params.split(","))
-        return make_gabor_block(int(kv["N"]), int(kv["T"]))
-    if label == "haar":
-        return make_haar(int(params))
-    raise ValueError(f"unknown system label {label!r}")
+    return _kind(label).from_params(params)
+
+
+def system_on_group(label: str, group: FiniteAbelianGroup) -> OrthonormalSystem:
+    """The system with this label on this group; ValueError if it cannot live there."""
+    return _kind(label).on_group(group)

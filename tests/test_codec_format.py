@@ -1,0 +1,242 @@
+"""The FRRD v1 stream format: pinned streams, the bit account, and hostile input.
+
+``data/pinned_streams.json`` holds streams written by the bit-at-a-time codec
+that preceded the array codec: rd_encode outputs per system (with their bit
+accounts) and hand-made edge descriptors (k = 0, k = M, index width 0,
+negative and zero q, |q| near 2^62 and at the int64 ends).  The codec must
+reproduce them byte for byte.
+"""
+import json
+import math
+import struct
+from datetime import timedelta
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fratio import parse_system
+from fratio.bitio import BitReader, BitWriter, MalformedStreamError, signed_widths
+from fratio.codec import MAGIC, MAX_DOMAIN_SIZE, VERSION, Descriptor, _account, rd_decode, rd_encode
+from fratio.signals import generate_signal
+
+PINNED = json.loads((Path(__file__).parent / "data" / "pinned_streams.json").read_text())
+ENCODED = [case for case in PINNED if "encode" in case]
+HANDMADE = [case for case in PINNED if "encode" not in case]
+
+
+def _descriptor(case) -> Descriptor:
+    return Descriptor(
+        factors=tuple(case["factors"]),
+        label=case["label"],
+        k=case["k"],
+        coeff_l2=float.fromhex(case["coeff_l2"]),
+        eps=float.fromhex(case["eps"]),
+        support=np.array(case["support"], dtype=np.int64),
+        q_re=np.array(case["q_re"], dtype=np.int64),
+        q_im=np.array(case["q_im"], dtype=np.int64),
+    )
+
+
+def _same(a: Descriptor, b: Descriptor) -> bool:
+    return (a.factors, a.label, a.k, a.coeff_l2, a.eps) == (b.factors, b.label, b.k, b.coeff_l2, b.eps) and all(
+        np.array_equal(getattr(a, name), getattr(b, name)) for name in ("support", "q_re", "q_im")
+    )
+
+
+def _encode(case):
+    spec = case["encode"]
+    system = parse_system(spec["system"])
+    f = generate_signal(system, spec["signal"], seed=spec["seed"])
+    return rd_encode(system, f, spec["eps"])
+
+
+def _header(factors, label_code=0, k=0, coeff_l2=1.0, eps=0.2) -> BitWriter:
+    w = BitWriter()
+    w.write_bytes(MAGIC)
+    w.write(VERSION, 8)
+    w.write_varint(len(factors))
+    for n in factors:
+        w.write_varint(n)
+    w.write(label_code, 8)
+    w.write_varint(k)
+    w.write_float64(coeff_l2)
+    w.write_float64(eps)
+    return w
+
+
+class TestPinnedStreams:
+    @pytest.mark.parametrize("case", HANDMADE, ids=lambda c: c["name"])
+    def test_handmade_descriptor_stream(self, case):
+        d = _descriptor(case)
+        assert d.serialize().hex() == case["stream"]
+        assert _same(Descriptor.deserialize(bytes.fromhex(case["stream"])), d)
+
+    @pytest.mark.parametrize("case", ENCODED, ids=lambda c: c["name"])
+    def test_encoded_stream_and_account(self, case):
+        d, account = _encode(case)
+        assert d.serialize().hex() == case["stream"]
+        assert _same(Descriptor.deserialize(bytes.fromhex(case["stream"])), d)
+        parts = {key: getattr(account, key) for key in case["bit_account"]}
+        assert parts == case["bit_account"]
+
+    @pytest.mark.parametrize("case", [c for c in HANDMADE if math.prod(c["factors"]) >= 2], ids=lambda c: c["name"])
+    def test_account_total_matches_stream(self, case):
+        d = _descriptor(case)
+        account = _account(d, r=1.0)
+        assert account.total == 8 * len(d.serialize())
+        assert account.total == account.header_bits + account.support_bits + account.coefficient_bits
+        assert all(type(getattr(account, key)) is int for key in ("header_bits", "support_bits", "coefficient_bits", "total"))
+
+
+def _reference_signed_bits(v: int) -> str:
+    """The signed code of v, one bit at a time, from its definition."""
+    width = max(1, v.bit_length() + 1) if v >= 0 else (-v - 1).bit_length() + 1
+    return "1" * (width - 1) + "0" + format(v & ((1 << width) - 1), f"0{width}b")
+
+
+def _stream_bits(writer: BitWriter) -> str:
+    bits = np.unpackbits(np.frombuffer(writer.to_bytes(), dtype=np.uint8))[: writer.bit_length]
+    return "".join(map(str, bits))
+
+
+class TestArrayBitIO:
+    def test_fixed_array_matches_reference_code(self):
+        values = np.array([0, 1, 5, 1023, 512, 77], dtype=np.int64)
+        w = BitWriter()
+        w.write_fixed_array(values, 10)
+        assert _stream_bits(w) == "".join(format(int(v), "010b") for v in values)
+        assert np.array_equal(BitReader(w.to_bytes()).read_fixed_array(6, 10), values)
+
+    def test_signed_array_matches_reference_code(self):
+        rng = np.random.default_rng(5)
+        values = rng.integers(-(2**63), 2**63 - 1, size=3000, dtype=np.int64) >> rng.integers(0, 64, size=3000)
+        values[:8] = [0, -1, 1, 2**62, -(2**62) - 1, 2**63 - 1, -(2**63), 2**53 + 1]
+        reference = [_reference_signed_bits(int(v)) for v in values]
+        w = BitWriter()
+        w.write_signed_array(values)
+        assert _stream_bits(w) == "".join(reference)
+        assert np.array_equal(2 * signed_widths(values), [len(code) for code in reference])
+        assert np.array_equal(BitReader(w.to_bytes()).read_signed_array(values.size), values)
+
+    def test_fixed_array_rejects_values_too_wide(self):
+        with pytest.raises(ValueError):
+            BitWriter().write_fixed_array(np.array([4]), 2)
+        with pytest.raises(ValueError):
+            BitWriter().write_fixed_array(np.array([-1]), 8)
+
+    def test_signed_width_prefix_too_long(self):
+        with pytest.raises(MalformedStreamError):
+            BitReader(b"\xff" * 9).read_signed_array(1)
+
+    def test_signed_array_truncation(self):
+        w = BitWriter()
+        w.write_signed_array(np.array([3, -700, 2**40]))
+        blob = w.to_bytes()
+        with pytest.raises(MalformedStreamError):
+            BitReader(blob[:-2]).read_signed_array(3)
+
+
+class TestHostileStreams:
+    def test_huge_domain_rejected_before_allocation(self):
+        blob = _header((2**20, 2**20)).to_bytes()
+        assert len(blob) <= 30
+        assert math.prod((2**20, 2**20)) > MAX_DOMAIN_SIZE
+        with pytest.raises(MalformedStreamError):
+            Descriptor.deserialize(blob)
+        with pytest.raises(MalformedStreamError):
+            rd_decode(blob)
+
+    def test_domain_at_the_cap_accepted(self):
+        d = Descriptor.deserialize(_header((MAX_DOMAIN_SIZE,)).to_bytes())
+        assert d.group.size == MAX_DOMAIN_SIZE and d.k == 0
+
+    def test_no_stream_is_written_for_a_domain_above_the_cap(self):
+        empty = np.array([], dtype=np.int64)
+        d = Descriptor((2, MAX_DOMAIN_SIZE), "gabor", 0, 1.0, 0.2, empty, empty, empty)
+        with pytest.raises(ValueError):
+            d.serialize()
+
+    @pytest.mark.parametrize("field", ["coeff_l2", "eps"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_header_floats_rejected(self, field, value):
+        blob = _header((8,), **{field: value}).to_bytes()
+        with pytest.raises(MalformedStreamError):
+            Descriptor.deserialize(blob)
+
+    @pytest.mark.parametrize("label_code,factors", [(1, (2, 3)), (2, (8,)), (3, (4, 4)), (3, (6,))])
+    def test_label_that_cannot_live_on_the_group_is_malformed(self, label_code, factors):
+        with pytest.raises(MalformedStreamError):
+            rd_decode(_header(factors, label_code).to_bytes())
+
+    def test_trailing_bytes_rejected(self):
+        blob = bytes.fromhex(PINNED[0]["stream"])
+        Descriptor.deserialize(blob)
+        for tail in (b"\x00", b"\x01", b"\x00" * 8):
+            with pytest.raises(MalformedStreamError):
+                Descriptor.deserialize(blob + tail)
+
+    def test_nonzero_padding_rejected(self):
+        padded = 0
+        for case in PINNED:
+            blob = bytes.fromhex(case["stream"])
+            writer = BitWriter()
+            Descriptor.deserialize(blob)._write(writer)
+            pad = 8 * len(blob) - writer.bit_length
+            if pad == 0:
+                continue
+            padded += 1
+            for bit in range(pad):
+                bad = blob[:-1] + bytes([blob[-1] | (1 << bit)])
+                with pytest.raises(MalformedStreamError):
+                    Descriptor.deserialize(bad)
+        assert padded >= 5
+
+
+def _mutations(blob: bytes):
+    return st.tuples(
+        st.lists(st.tuples(st.integers(0, len(blob) - 1), st.integers(1, 255)), max_size=4),
+        st.integers(0, len(blob)),
+    ).map(lambda spec: _mutate(blob, *spec))
+
+
+def _mutate(blob: bytes, flips, cut) -> bytes:
+    out = bytearray(blob[:cut] if cut < len(blob) else blob)
+    for index, mask in flips:
+        if index < len(out):
+            out[index] ^= mask
+    return bytes(out)
+
+
+_VALID = bytes.fromhex(ENCODED[0]["stream"])
+_PREFIX = MAGIC + bytes([VERSION])
+
+
+@settings(max_examples=300, deadline=timedelta(seconds=2))
+@given(
+    st.one_of(
+        st.binary(max_size=64),
+        st.binary(max_size=96).map(lambda tail: _PREFIX + tail),
+        st.binary(max_size=96).map(lambda tail: _PREFIX + struct.pack(">BB", 1, 16) + tail),
+        st.builds(
+            lambda factors, code, k, coeff_l2, eps, body: _header(factors, code, k, coeff_l2, eps).to_bytes() + body,
+            st.lists(st.integers(1, 2**70), min_size=1, max_size=3),
+            st.integers(0, 5),
+            st.integers(0, 40),
+            st.floats(),
+            st.floats(),
+            st.binary(max_size=64),
+        ),
+        _mutations(_VALID),
+    )
+)
+def test_arbitrary_bytes_give_descriptor_or_malformed(data):
+    try:
+        d = Descriptor.deserialize(data)
+    except MalformedStreamError:
+        return
+    assert isinstance(d, Descriptor)
+    assert d.group.size <= MAX_DOMAIN_SIZE
+    assert math.isfinite(d.coeff_l2) and math.isfinite(d.eps)

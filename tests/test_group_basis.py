@@ -247,3 +247,37 @@ def test_coefficient_vector_norms():
     assert c.l1 == pytest.approx(6.0)
     assert c.l2 == pytest.approx(np.sqrt(26.0))
     assert c.linf == pytest.approx(5.0)
+
+
+def test_group_size_is_exact_beyond_int64():
+    assert FiniteAbelianGroup((2**40, 2**40)).size == 2**80
+    assert type(FiniteAbelianGroup((3, 5)).size) is int
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+@pytest.mark.parametrize("lead", [(), (3,)], ids=["1-D", "stacked"])
+def test_wht_butterfly_matches_fft_per_axis_bitwise(n, lead):
+    # the character transform on Z_2^n is np.fft along each factor
+    wht = make_wht(n)
+    dft = make_dft(FiniteAbelianGroup((2,) * n))
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal(lead + (2**n,)) + 1j * rng.standard_normal(lead + (2**n,))
+    assert wht._analyze_array(x).tobytes() == dft._analyze_array(x).tobytes()
+    assert wht._synthesize_array(x).tobytes() == dft._synthesize_array(x).tobytes()
+
+
+@pytest.mark.parametrize("spec", ["dft:4x6", "wht:5", "gabor:N=16,T=8", "haar:64"])
+def test_system_on_group_rebuilds_the_parsed_system(spec):
+    from fratio.systems import SYSTEMS, system_on_group
+
+    system = parse_system(spec)
+    assert system.label in SYSTEMS
+    assert system_on_group(system.label, system.group).system_id == spec
+
+
+@pytest.mark.parametrize("label,factors", [("wht", (2, 3)), ("gabor", (8,)), ("haar", (4, 4)), ("haar", (6,)), ("mystery", (4,))])
+def test_system_on_group_rejects_a_group_the_system_cannot_live_on(label, factors):
+    from fratio.systems import system_on_group
+
+    with pytest.raises(ValueError):
+        system_on_group(label, FiniteAbelianGroup(factors))
