@@ -5,7 +5,8 @@ unpacked with ``np.packbits``/``np.unpackbits``.  Integers use either fixed
 widths, unsigned LEB128-style varints (7 payload bits per byte-sized chunk),
 or a self-delimiting signed code: a unary width prefix (width-1 ones then a
 zero) followed by a minimal-width two's-complement payload, 2 * width bits in
-all.
+all.  Each value has exactly one code: the reader rejects varints with a
+redundant continuation byte and signed codes wider than their value needs.
 
 The scalar methods write and read the descriptor header; the array methods
 write and read a whole array of fixed-width or signed codes in a few
@@ -149,6 +150,8 @@ class BitReader:
             byte = self.read(8)
             value |= (byte & 0x7F) << shift
             if not byte & 0x80:
+                if byte == 0 and shift:
+                    raise MalformedStreamError("non-canonical varint: redundant continuation byte")
                 return value
             shift += 7
             if shift > 63:
@@ -197,7 +200,13 @@ class BitReader:
         bits = window[np.repeat(np.cumsum(2 * width) - width, width) + offset].astype(np.uint64)
         unsigned = np.add.reduceat(bits << (np.repeat(width - 1, width) - offset).astype(np.uint64), first)
         pad = (_WORD - width).astype(np.uint64)
-        return (unsigned << pad).view(np.int64) >> pad.view(np.int64)
+        values = (unsigned << pad).view(np.int64) >> pad.view(np.int64)
+        # the width is minimal when it is 1 or the payload's bit below the
+        # sign bit differs from it
+        sign, below = bits[first], bits[np.minimum(first + 1, bits.size - 1)]
+        if np.any((width > 1) & (sign == below)):
+            raise MalformedStreamError("signed code wider than the minimal width of its value")
+        return values
 
     def check_end(self) -> None:
         """The stream must end here, in zero padding bits short of a byte."""

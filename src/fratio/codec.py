@@ -11,8 +11,9 @@ Stream layout: magic "FRRD", version byte, factor count + factors (varints),
 system label byte, k (varint), float64 ||c||_2, float64 eps, k support indices
 at ceil(log2 M) fixed bits each, then k (re, im) signed self-delimiting pairs,
 then zero bits up to the next byte boundary.  The decoder rejects domains of
-more than MAX_DOMAIN_SIZE points, non-finite floats, nonzero padding and
-trailing bytes.
+more than MAX_DOMAIN_SIZE points, non-finite floats, nonzero padding,
+trailing bytes and non-minimal varints and signed codes, so every accepted
+stream is the serialization of the descriptor it decodes to.
 """
 from __future__ import annotations
 
@@ -192,9 +193,11 @@ def _account(d: Descriptor, r: float) -> BitAccount:
     coefficient_bits = 2 * int(signed_widths(d.q_re).sum() + signed_widths(d.q_im).sum())
     total = 8 * -(-(_header_bits(d) + support_bits + coefficient_bits) // 8)
     header_bits = total - support_bits - coefficient_bits
+    # the two-term bound needs M >= 2; a one-point domain has no bound terms
+    M = d.group.size
     bound_terms = {
-        "c0_term": rd_bit_bound(max(1.0, r), d.eps, d.group.size, C0=1.0, C1=0.0),
-        "c1_term": rd_bit_bound(max(1.0, r), d.eps, d.group.size, C0=0.0, C1=1.0),
+        "c0_term": rd_bit_bound(max(1.0, r), d.eps, M, C0=1.0, C1=0.0) if M >= 2 else None,
+        "c1_term": rd_bit_bound(max(1.0, r), d.eps, M, C0=0.0, C1=1.0) if M >= 2 else None,
     }
     return BitAccount(
         header_bits=header_bits,

@@ -1,6 +1,8 @@
 """Deterministic signal generators and plain-text signal file I/O."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .groups import FiniteAbelianGroup, Signal
@@ -61,24 +63,38 @@ def write_signal(path, f: Signal) -> None:
 
 
 def read_signal(path) -> Signal:
+    """Read a file written by write_signal: every index of the domain exactly once, in any order.
+
+    A row with an index outside the domain, a repeated index or a non-finite
+    value is a ValueError that names its line.
+    """
     with open(path) as fh:
         header = fh.readline().split()
         if not header:
             raise ValueError(f"{path}: missing factor header line")
         group = FiniteAbelianGroup(tuple(int(n) for n in header))
         values = np.zeros(group.size, dtype=np.complex128)
-        seen = 0
-        for line in fh:
+        line_of = {}  # index -> the line that gave it
+        for lineno, line in enumerate(fh, start=2):
             parts = line.split()
             if not parts:
                 continue
-            if len(parts) != 3:
-                raise ValueError(f"{path}: malformed row {line!r}")
-            idx = int(parts[0])
-            values[idx] = float(parts[1]) + 1j * float(parts[2])
-            seen += 1
-        if seen != group.size:
-            raise ValueError(f"{path}: expected {group.size} rows, found {seen}")
+            where = f"{path}, line {lineno}"
+            try:
+                idx, re, im = parts  # exactly three fields
+                idx, re, im = int(idx), float(re), float(im)
+            except ValueError:
+                raise ValueError(f"{where}: malformed row {line!r}") from None
+            if not 0 <= idx < group.size:
+                raise ValueError(f"{where}: index {idx} outside 0..{group.size - 1}")
+            if idx in line_of:
+                raise ValueError(f"{where}: index {idx} repeats line {line_of[idx]}")
+            if not (math.isfinite(re) and math.isfinite(im)):
+                raise ValueError(f"{where}: value {re} {im} is not finite")
+            line_of[idx] = lineno
+            values[idx] = re + 1j * im
+        if len(line_of) != group.size:
+            raise ValueError(f"{path}: expected {group.size} rows, found {len(line_of)}")
     return Signal(group, values)
 
 

@@ -4,6 +4,12 @@ log-scale dimension bound.
 A signal f with coefficients g is estimated by drawing basis indices with
 probability |g(m)| / ||g||_1 and averaging the rank-one synthesis terms; the
 estimate is unbiased with mean-squared error at most M tau^2 r^2 / k.
+
+``sq_sample`` and ``sq_mse`` draw through one recipe (``_WeightedDraws``).
+``sq_mse`` runs its trials as (rows, M) stacks of about ``_STACK_ENTRIES``
+entries: one draw, one ``np.bincount`` accumulation and one synthesis per
+stack.  The random stream and every row's arithmetic are those of one trial
+at a time, so reports do not depend on the stack size.
 """
 from __future__ import annotations
 
@@ -15,6 +21,11 @@ import numpy as np
 from .groups import Signal
 from .ratio import fourier_ratio
 from .systems import OrthonormalSystem
+
+# Entries per sq_mse stack, counted over the wider of the (rows, k) draws and
+# the (rows, M) synthesis: under 2 MB of temporaries per stack.  Larger stacks
+# were no faster and raised the peak memory.
+_STACK_ENTRIES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -42,22 +53,47 @@ class RandomFunctional:
         return self.system._synthesize_array(self.coefficient_weights())
 
 
+@dataclass(frozen=True)
+class _WeightedDraws:
+    """The |g|-weighted distribution over the coefficients g of a signal."""
+
+    g: np.ndarray
+    l1: float
+    probs: np.ndarray
+    unit: np.ndarray  # g / |g|, zero where g is
+
+    @classmethod
+    def of(cls, system: OrthonormalSystem, f: Signal) -> "_WeightedDraws":
+        g = system.analyze(f).entries
+        mags = np.abs(g)
+        l1 = float(np.sum(mags))
+        if l1 == 0.0:
+            raise ValueError("cannot sample from the zero signal")
+        nonzero = np.flatnonzero(mags)
+        unit = np.zeros(g.shape[0], dtype=np.complex128)
+        unit[nonzero] = g[nonzero] / mags[nonzero]
+        return cls(g=g, l1=l1, probs=mags / l1, unit=unit)
+
+    def draw(self, rng: np.random.Generator, shape) -> tuple[np.ndarray, np.ndarray]:
+        """Indices of the given shape and their unit phases.
+
+        ``Generator.choice`` fills its uniforms in C order, so one (rows, k)
+        draw consumes the stream exactly as rows successive draws of k.
+        """
+        indices = rng.choice(self.probs.shape[0], size=shape, p=self.probs)
+        return indices, self.unit[indices]
+
+
 def sq_sample(system: OrthonormalSystem, f: Signal, k: int, seed: int) -> RandomFunctional:
     """Draw k indices from the |g|-weighted distribution of the coefficients g."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    g = system.analyze(f).entries
-    l1 = float(np.sum(np.abs(g)))
-    if l1 == 0.0:
-        raise ValueError("cannot sample from the zero signal")
-    probs = np.abs(g) / l1
-    rng = np.random.default_rng(seed)
-    indices = rng.choice(system.size, size=k, p=probs)
-    phases = g[indices] / np.abs(g[indices])
+    weighted = _WeightedDraws.of(system, f)
+    indices, phases = weighted.draw(np.random.default_rng(seed), k)
     return RandomFunctional(
         system=system,
         indices=indices.astype(np.int64),
-        amplitude=l1 / k,
+        amplitude=weighted.l1 / k,
         phases=phases,
         seed=int(seed),
     )
@@ -84,6 +120,11 @@ class MseReport:
     std_error: float = 0.0
 
 
+def _stack_rows(M: int, k: int) -> int:
+    """Trials per stack: about _STACK_ENTRIES draws and synthesized values."""
+    return max(1, _STACK_ENTRIES // max(M, k))
+
+
 def sq_mse(
     system: OrthonormalSystem,
     f: Signal,
@@ -92,29 +133,40 @@ def sq_mse(
     seed: int,
     distribution: np.ndarray | None = None,
 ) -> MseReport:
-    """Empirical weighted MSE of the k-term estimator against the M tau^2 r^2 / k bound."""
+    """Empirical weighted MSE of the k-term estimator against the M tau^2 r^2 / k bound.
+
+    Trials run in stacks of rows; the report equals, bit for bit, that of
+    one trial at a time.
+    """
+    if k < 1 or trials < 1:
+        raise ValueError("k and trials must be >= 1")
     M = system.size
     if distribution is None:
         distribution = np.full(M, 1.0 / M)
     distribution = np.asarray(distribution, dtype=np.float64)
-    if distribution.shape[0] != M or np.any(distribution < 0) or abs(distribution.sum() - 1.0) > 1e-9:
+    if (
+        distribution.shape != (M,)
+        or not np.all(np.isfinite(distribution))
+        or np.any(distribution < 0)
+        or abs(distribution.sum() - 1.0) > 1e-9
+    ):
         raise ValueError("distribution must be a probability vector over the domain")
-    g = system.analyze(f).entries
-    r = fourier_ratio(g)
+    weighted = _WeightedDraws.of(system, f)
+    r = fourier_ratio(weighted.g)
     rng = np.random.default_rng(seed)
-    probs = np.abs(g) / float(np.sum(np.abs(g)))
-    l1 = float(np.sum(np.abs(g)))
-    amplitude = l1 / k
-    nonzero = np.flatnonzero(probs)
-    unit = np.zeros(M, dtype=np.complex128)
-    unit[nonzero] = g[nonzero] / np.abs(g[nonzero])
+    amplitude = weighted.l1 / k
+    rows = _stack_rows(M, k)
     per_trial = np.empty(trials)
-    for t in range(trials):
-        idx = rng.choice(M, size=k, p=probs)
-        w = np.zeros(M, dtype=np.complex128)
-        np.add.at(w, idx, unit[idx])
+    for start in range(0, trials, rows):
+        n = min(rows, trials - start)
+        idx, phases = weighted.draw(rng, (n, k))
+        # bincount adds each row's phases in draw order, as np.add.at would
+        flat = (idx + M * np.arange(n)[:, None]).reshape(-1)
+        w = np.empty((n, M), dtype=np.complex128)
+        w.real = np.bincount(flat, weights=phases.real.reshape(-1), minlength=n * M).reshape(n, M)
+        w.imag = np.bincount(flat, weights=phases.imag.reshape(-1), minlength=n * M).reshape(n, M)
         P = system._synthesize_array(amplitude * w)
-        per_trial[t] = float(np.sum(distribution * np.abs(f.values - P) ** 2))
+        per_trial[start : start + n] = (distribution * np.abs(f.values - P) ** 2).sum(axis=-1)
     bound = M * system.tau**2 * r**2 / k
     std_error = float(per_trial.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return MseReport(

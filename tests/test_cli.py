@@ -144,3 +144,34 @@ class TestSignalFiles:
         path.write_text("4\n0 1.0 0.0\n")
         with pytest.raises(ValueError):
             read_signal(path)
+
+
+class TestSignalFileValidation:
+    @pytest.mark.parametrize(
+        "rows,line",
+        [
+            (["0 1.0 0.0", "0 2.0 0.0"], 3),  # duplicate index: entry 1 would stay zero
+            (["0 1.0 0.0", "-1 2.0 0.0"], 3),  # negative index: would wrap to the last entry
+            (["0 1.0 0.0", "2 2.0 0.0"], 3),  # past the end of the domain
+            (["nan 1.0 0.0", "1 2.0 0.0"], 2),  # not an integer index
+            (["0 1.0 0.0", "1 x 0.0"], 3),  # not a number
+        ],
+    )
+    def test_bad_row_rejected_and_named(self, tmp_path, rows, line):
+        path = tmp_path / "bad.txt"
+        path.write_text("2\n" + "\n".join(rows) + "\n")
+        with pytest.raises(ValueError, match=f"line {line}\\b"):
+            read_signal(path)
+
+    @pytest.mark.parametrize("value", ["nan 0.0", "inf 0.0", "0.0 -inf", "1e999 0.0"])
+    def test_non_finite_value_rejected(self, tmp_path, value):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"2\n0 1.0 0.0\n1 {value}\n")
+        with pytest.raises(ValueError, match="line 3\\b.*finite"):
+            read_signal(path)
+
+    def test_rows_in_any_order_accepted(self, tmp_path):
+        path = tmp_path / "shuffled.txt"
+        path.write_text("3\n2 3.0 0.0\n\n0 1.0 -1.0\n1 2.0 0.5\n")
+        f = read_signal(path)
+        assert np.array_equal(f.values, [1.0 - 1.0j, 2.0 + 0.5j, 3.0])

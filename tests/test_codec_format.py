@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fratio import parse_system
+from fratio import Signal, parse_system
 from fratio.bitio import BitReader, BitWriter, MalformedStreamError, signed_widths
 from fratio.codec import MAGIC, MAX_DOMAIN_SIZE, VERSION, Descriptor, _account, rd_decode, rd_encode
 from fratio.signals import generate_signal
@@ -214,24 +214,25 @@ _VALID = bytes.fromhex(ENCODED[0]["stream"])
 _PREFIX = MAGIC + bytes([VERSION])
 
 
-@settings(max_examples=300, deadline=timedelta(seconds=2))
-@given(
-    st.one_of(
+_STREAMS = st.one_of(
+    st.binary(max_size=64),
+    st.binary(max_size=96).map(lambda tail: _PREFIX + tail),
+    st.binary(max_size=96).map(lambda tail: _PREFIX + struct.pack(">BB", 1, 16) + tail),
+    st.builds(
+        lambda factors, code, k, coeff_l2, eps, body: _header(factors, code, k, coeff_l2, eps).to_bytes() + body,
+        st.lists(st.integers(1, 2**70), min_size=1, max_size=3),
+        st.integers(0, 5),
+        st.integers(0, 40),
+        st.floats(),
+        st.floats(),
         st.binary(max_size=64),
-        st.binary(max_size=96).map(lambda tail: _PREFIX + tail),
-        st.binary(max_size=96).map(lambda tail: _PREFIX + struct.pack(">BB", 1, 16) + tail),
-        st.builds(
-            lambda factors, code, k, coeff_l2, eps, body: _header(factors, code, k, coeff_l2, eps).to_bytes() + body,
-            st.lists(st.integers(1, 2**70), min_size=1, max_size=3),
-            st.integers(0, 5),
-            st.integers(0, 40),
-            st.floats(),
-            st.floats(),
-            st.binary(max_size=64),
-        ),
-        _mutations(_VALID),
-    )
+    ),
+    _mutations(_VALID),
 )
+
+
+@settings(max_examples=300, deadline=timedelta(seconds=2))
+@given(_STREAMS)
 def test_arbitrary_bytes_give_descriptor_or_malformed(data):
     try:
         d = Descriptor.deserialize(data)
@@ -240,3 +241,89 @@ def test_arbitrary_bytes_give_descriptor_or_malformed(data):
     assert isinstance(d, Descriptor)
     assert d.group.size <= MAX_DOMAIN_SIZE
     assert math.isfinite(d.coeff_l2) and math.isfinite(d.eps)
+
+
+def _flips(blob: bytes):
+    """blob with one or two bytes xor-ed, its length kept."""
+    flips = st.lists(st.tuples(st.integers(0, len(blob) - 1), st.integers(1, 255)), min_size=1, max_size=2)
+    return flips.map(lambda spec: _mutate(blob, spec, len(blob)))
+
+
+@settings(max_examples=500, deadline=timedelta(seconds=2))
+@given(st.one_of(_STREAMS, *(_flips(bytes.fromhex(case["stream"])) for case in PINNED)))
+def test_accepted_streams_are_canonical(data):
+    try:
+        d = Descriptor.deserialize(data)
+    except MalformedStreamError:
+        return
+    assert d.serialize() == data
+
+
+def _one_term_dft4(factor_bytes: bytes | None = None, k_bytes: bytes | None = None, q_re_code=None) -> bytes:
+    """A one-term dft:4 descriptor (support [2], q = 1 + 0i), with optional hand-coded fields."""
+    w = BitWriter()
+    w.write_bytes(MAGIC)
+    w.write(VERSION, 8)
+    w.write_varint(1)
+    if factor_bytes is None:
+        w.write_varint(4)
+    else:
+        w.write_bytes(factor_bytes)
+    w.write(0, 8)
+    if k_bytes is None:
+        w.write_varint(1)
+    else:
+        w.write_bytes(k_bytes)
+    w.write_float64(1.0)
+    w.write_float64(0.2)
+    w.write(2, 2)
+    if q_re_code is None:
+        w.write_signed(1)
+    else:
+        w.write(*q_re_code)
+    w.write_signed(0)
+    return w.to_bytes()
+
+
+class TestCanonicalStreams:
+    def test_minimal_stream_decodes(self):
+        blob = _one_term_dft4()
+        d = Descriptor.deserialize(blob)
+        assert (d.k, d.support.tolist(), d.q_re.tolist(), d.q_im.tolist()) == (1, [2], [1], [0])
+        assert d.serialize() == blob
+
+    @pytest.mark.parametrize("code", [(0b110001, 6), (0b11100001, 8), (0b1111000000, 10)])
+    def test_signed_code_wider_than_minimal_rejected(self, code):
+        # 1 in width 3 (and 4) instead of 2, or 0 in width 5 instead of 1
+        with pytest.raises(MalformedStreamError, match="minimal"):
+            Descriptor.deserialize(_one_term_dft4(q_re_code=code))
+
+    def test_signed_reader_rejects_non_minimal_code(self):
+        w = BitWriter()
+        w.write(0b1000, 4)  # 0 in width 2
+        with pytest.raises(MalformedStreamError):
+            BitReader(w.to_bytes()).read_signed_array(1)
+
+    @pytest.mark.parametrize("field", ["factor", "k"])
+    @pytest.mark.parametrize("redundant", [b"\x80\x00", b"\x81\x80\x00"])
+    def test_varint_with_redundant_continuation_rejected(self, field, redundant):
+        value = {"factor": 4, "k": 1}[field]
+        coded = bytes([redundant[0] | value]) + redundant[1:]
+        with pytest.raises(MalformedStreamError, match="varint"):
+            Descriptor.deserialize(_one_term_dft4(**{f"{field}_bytes": coded}))
+
+    def test_multi_byte_varints_still_decode(self):
+        blob = _header((300, 2)).to_bytes()
+        assert Descriptor.deserialize(blob).factors == (300, 2)
+
+
+def test_one_point_domain_encodes():
+    # the two-term bound needs M >= 2; on one point its terms are reported as None
+    system = parse_system("dft:1")
+    f = Signal(system.group, np.array([1.0]))
+    d, account = rd_encode(system, f, 0.1)
+    assert account.bound_terms == {"c0_term": None, "c1_term": None}
+    blob = d.serialize()
+    assert account.total == 8 * len(blob)
+    assert _same(Descriptor.deserialize(blob), d)
+    assert abs(rd_decode(blob).values[0] - 1.0) <= 0.1

@@ -197,3 +197,26 @@ class TestSqDimLog2:
             sq_dim_log2(16, 0.1, 1.0)
         with pytest.raises(ValueError):
             sq_dim_log2(16, 0.25, 0.5)
+
+
+class TestMseInputs:
+    @pytest.mark.parametrize("k,trials", [(0, 10), (4, 0)])
+    def test_rejects_empty_runs(self, k, trials):
+        system = make_dft(FiniteAbelianGroup((8,)))
+        f = rademacher_signal(system.group, 1)
+        with pytest.raises(ValueError):
+            sq_mse(system, f, k=k, trials=trials, seed=0)
+
+    @pytest.mark.parametrize(
+        "distribution",
+        [
+            [np.nan, 0.5, 0.25, 0.25],  # NaN passed the sum test and made the report NaN
+            [np.inf, 0.5, 0.25, 0.25],
+            np.full((4, 2), 0.125),
+        ],
+    )
+    def test_rejects_non_finite_or_misshapen_distribution(self, distribution):
+        system = make_dft(FiniteAbelianGroup((4,)))
+        f = rademacher_signal(system.group, 1)
+        with pytest.raises(ValueError, match="probability vector"):
+            sq_mse(system, f, k=4, trials=3, seed=0, distribution=np.array(distribution))
