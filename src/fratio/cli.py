@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: fr, recover, phase, localize, rdcodec, sqdim, erasure.
-Reports are deterministic functions of the arguments; JSON by default, CSV for
-the phase sweep.  A JSON config file may supply defaults; explicit flags win.
+Reports are deterministic functions of the arguments: JSON, or CSV for the
+phase sweep with --format csv (no other subcommand takes --format).  A JSON
+config file may supply defaults; explicit flags win.
 """
 from __future__ import annotations
 
@@ -30,16 +31,17 @@ from .sqdim import covering_params, sq_dim_log2, sq_mse
 from .systems import check_boundedness, parse_system
 
 
-def _emit(payload: dict, out: str | None, fmt: str) -> None:
-    if fmt == "json":
-        text = json.dumps(payload, indent=2, sort_keys=True, default=_jsonify)
-    else:
-        raise ValueError(f"format {fmt!r} not supported for this subcommand")
+def _write(text: str, out: str | None) -> None:
+    """The report to the --out file, or to stdout."""
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
+
+
+def _emit(payload: dict, out: str | None) -> None:
+    _write(json.dumps(payload, indent=2, sort_keys=True, default=_jsonify), out)
 
 
 def _jsonify(obj):
@@ -57,13 +59,12 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--trials", type=int, default=50)
     parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--out", default=None)
-    parser.add_argument("--format", choices=["json", "csv"], default="json")
 
 
 def cmd_fr(args) -> None:
     system = parse_system(args.system)
     f = generate_signal(system, args.signal, seed=args.seed)
-    _emit(fr_report(system, f), args.out, "json")
+    _emit(fr_report(system, f), args.out)
 
 
 def cmd_recover(args) -> None:
@@ -93,7 +94,7 @@ def cmd_recover(args) -> None:
     if args.save_recovered:
         write_signal(args.save_recovered, result.recovered)
         payload["recovered_path"] = args.save_recovered
-    _emit(payload, args.out, "json")
+    _emit(payload, args.out)
 
 
 def cmd_phase(args) -> None:
@@ -110,12 +111,7 @@ def cmd_phase(args) -> None:
     start = time.perf_counter()
     report = run_phase_sweep(config)
     elapsed = time.perf_counter() - start
-    text = "\n".join(report.to_csv_rows()) if args.format == "csv" else report.to_json()
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write("\n".join(report.to_csv_rows()) if args.format == "csv" else report.to_json(), args.out)
     print(f"phase sweep finished in {elapsed:.1f}s", file=sys.stderr)
 
 
@@ -124,7 +120,7 @@ def cmd_localize(args) -> None:
     f = generate_signal(system, args.signal, seed=args.seed)
     d = ProductDecomposition(system.group, args.split)
     report = localization_check(f, d, transform=args.transform)
-    _emit(asdict(report), args.out, "json")
+    _emit(asdict(report), args.out)
 
 
 def cmd_rdcodec(args) -> None:
@@ -150,14 +146,14 @@ def cmd_rdcodec(args) -> None:
             payload["distortion"] = err
             payload["relative_distortion"] = err / f.l2
             payload["within_budget"] = err <= args.eps * f.l2 * (1 + 1e-9)
-        _emit(payload, args.out, "json")
+        _emit(payload, args.out)
     else:
         with open(args.descriptor, "rb") as fh:
             blob = fh.read()
         decoded = rd_decode(blob)
         if args.save_decoded:
             write_signal(args.save_decoded, decoded)
-        _emit({"action": "decode", "group": str(decoded.group), "l2": decoded.l2}, args.out, "json")
+        _emit({"action": "decode", "group": str(decoded.group), "l2": decoded.l2}, args.out)
 
 
 def cmd_sqdim(args) -> None:
@@ -172,12 +168,12 @@ def cmd_sqdim(args) -> None:
         f = generate_signal(system, args.signal, seed=args.seed)
         report = sq_mse(system, f, k=args.mse_k, trials=args.trials, seed=derive_seed(args.seed, 1))
         payload["mse"] = asdict(report)
-    _emit(payload, args.out, "json")
+    _emit(payload, args.out)
 
 
 def cmd_erasure(args) -> None:
     stats = erasure_row_statistics(args.N, args.T, args.theta, args.E_max, args.trials, args.seed)
-    _emit(asdict(stats), args.out, "json")
+    _emit(asdict(stats), args.out)
 
 
 def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
@@ -210,6 +206,7 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--p", default="0.25,0.5,0.75,1.0", help="comma-separated keep probabilities")
     p.add_argument("--eps", type=float, default=0.0)
     p.add_argument("--max-iterations", type=int, default=5000)
+    p.add_argument("--format", choices=["json", "csv"], default="json")
     _add_common(p)
     p.set_defaults(func=cmd_phase)
 

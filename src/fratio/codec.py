@@ -23,16 +23,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bitio import BitReader, BitWriter, MalformedStreamError, signed_widths
-from .groups import FiniteAbelianGroup, Signal
+from .groups import MAX_DOMAIN_SIZE  # noqa: F401  (the decoder's cap, importable from here as before)
+from .groups import FiniteAbelianGroup, Signal, check_domain_size
 from .ratio import check_bound_args, fourier_ratio, soft_sparsify
 from .systems import SYSTEMS, OrthonormalSystem, system_on_group
 
 MAGIC = b"FRRD"
 VERSION = 1
-# Largest domain a stream may declare: 2^24 points, a 256 MiB complex signal.
-# A few header bytes could otherwise ask the decoder for any allocation.
-MAX_DOMAIN_SIZE = 1 << 24
-
 _CODE_LABELS = {kind.code: label for label, kind in SYSTEMS.items()}
 # bits of the header fields of fixed size: magic, version, label, two float64
 _FIXED_HEADER_BITS = 8 * len(MAGIC) + 8 + 8 + 2 * 64
@@ -67,8 +64,7 @@ class Descriptor:
         return writer.to_bytes()
 
     def _write(self, writer: BitWriter) -> None:
-        if self.group.size > MAX_DOMAIN_SIZE:
-            raise ValueError(f"domain of {self.group.size} points exceeds the decoders' cap of {MAX_DOMAIN_SIZE}")
+        check_domain_size(self.factors)  # no stream the decoder would refuse
         # _header_bits counts these fields; keep the two in step
         writer.write_bytes(MAGIC)
         writer.write(VERSION, 8)
@@ -96,9 +92,8 @@ class Descriptor:
         factors = tuple(reader.read_varint() for _ in range(count))
         if any(n < 1 for n in factors):
             raise MalformedStreamError("invalid cyclic factor")
+        check_domain_size(factors, MalformedStreamError)
         group = FiniteAbelianGroup(factors)
-        if group.size > MAX_DOMAIN_SIZE:
-            raise MalformedStreamError(f"domain of {group.size} points exceeds the cap of {MAX_DOMAIN_SIZE}")
         label_code = reader.read(8)
         if label_code not in _CODE_LABELS:
             raise MalformedStreamError(f"unknown system code {label_code}")

@@ -8,8 +8,27 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
+
+# Largest domain built from outside input (a system spec, a signal file
+# header, a descriptor stream): 2^24 points, a 256 MiB complex signal.  A few
+# bytes of input could otherwise ask for any allocation.
+MAX_DOMAIN_SIZE = 1 << 24
+
+
+def check_domain_size(factors: Iterable[int], error: type[ValueError] = ValueError) -> None:
+    """Raise ``error`` if the cyclic factors span more than MAX_DOMAIN_SIZE points.
+
+    The product stops at the first partial product above the cap, so a long
+    or lazy factor list costs no more than a short one.
+    """
+    size = 1
+    for n in factors:
+        size *= n
+        if size > MAX_DOMAIN_SIZE:
+            raise error(f"domain exceeds the cap of {MAX_DOMAIN_SIZE} points")
 
 
 @dataclass(frozen=True)

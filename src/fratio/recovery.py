@@ -67,22 +67,92 @@ def extend_by_zero(sampled: np.ndarray, sample: SampleSet) -> np.ndarray:
     return full
 
 
-def _row_norms(a: np.ndarray) -> np.ndarray:
-    """Euclidean norms of complex rows along the last axis."""
-    v = np.ascontiguousarray(a).view(np.float64)
-    # row-wise dot products of the interleaved real/imaginary parts
-    return np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0, 0])
+class _Norms:
+    """Euclidean norms of the rows of a C-contiguous complex array, along its
+    last axis, into a buffer made once: call it again after the array changes.
+
+    The kernel is the matmul of the rows' interleaved real and imaginary
+    parts with themselves, so every caller gets the same bits.
+    """
+
+    def __init__(self, a: np.ndarray):
+        v = a.view(np.float64)
+        self.operands = v[..., None, :], v[..., :, None]
+        self.out = np.empty(a.shape[:-1] + (1, 1))
+        self.rows = self.out[..., 0, 0]
+
+    def __call__(self) -> np.ndarray:
+        np.matmul(*self.operands, out=self.out)
+        np.sqrt(self.out, out=self.out)
+        return self.rows
+
+
+class _Threshold:
+    """Complex soft thresholding z -> z * max(0, 1 - lam/|z|), with 0 -> 0, on arrays of one shape."""
+
+    def __init__(self, shape: tuple[int, ...]):
+        self.mags = np.empty(shape)
+        self.scale = np.empty(shape)
+        self.nonzero = np.empty(shape, dtype=bool)
+
+    def __call__(self, v: np.ndarray, lam: float, out: np.ndarray) -> np.ndarray:
+        mags, scale = self.mags, self.scale
+        np.abs(v, out=mags)
+        np.subtract(mags, lam, out=scale)
+        np.maximum(scale, 0.0, out=scale)
+        # for lam >= 0 the scale is already 0 where |z| = 0
+        np.divide(scale, mags, out=scale, where=np.greater(mags, 0, out=self.nonzero))
+        return np.multiply(v, scale, out=out)
+
+
+class _Projection:
+    """Exact Euclidean projection onto the fidelity balls of a stack of rows.
+
+    ``mask`` is the complex indicator of the kept points, ``y`` the
+    zero-extended sampled values and ``sigma`` the radius, one per row or one
+    for all; ``shape`` is that of the coefficient arrays to project.
+    Restriction-after-synthesis has orthonormal rows, so the projection is c
+    minus the analyzed zero-extension of the clipped residual.
+    """
+
+    def __init__(self, system: OrthonormalSystem, mask, y, sigma, shape: tuple[int, ...]):
+        self.system, self.mask, self.y, self.sigma = system, mask, y, sigma
+        self.zero_radius = not np.count_nonzero(sigma)
+        self.rho = np.empty(shape, dtype=np.complex128)
+        self.norms = _Norms(self.rho)
+        self.over = np.empty(shape[:-1], dtype=bool)
+        self.ratio = np.empty(shape[:-1])
+
+    def __call__(self, c: np.ndarray) -> np.ndarray:
+        """The projection of c; c itself when every row is inside its ball."""
+        rho = np.multiply(self.system._synthesize_array(c), self.mask, out=self.rho)
+        np.subtract(rho, self.y, out=rho)
+        norm_rho = self.norms()
+        over = np.greater(norm_rho, self.sigma, out=self.over)
+        n_over = np.count_nonzero(over)
+        if not n_over:
+            return c
+        if self.zero_radius and n_over == over.size:
+            # every scale 1 - 0/||rho|| is 1.0; the multiply still runs, since
+            # numpy multiplies by 1 + 0j and that turns some -0.0 parts into +0.0
+            np.multiply(rho, 1.0, out=rho)
+        else:
+            # rows inside their ball get scale 0, so the analysis leaves them unchanged
+            ratio = self.ratio
+            ratio.fill(1.0)
+            np.divide(self.sigma, norm_rho, out=ratio, where=over)
+            np.subtract(1.0, ratio, out=ratio)
+            np.multiply(rho, ratio[..., None], out=rho)
+        analyzed = self.system._analyze_array(rho)
+        return np.subtract(c, analyzed, out=analyzed)
 
 
 def soft_threshold(c: np.ndarray, lam: float) -> np.ndarray:
     """Complex soft thresholding z -> z * max(0, 1 - lam/|z|), with 0 -> 0."""
-    if lam < 0:
+    if not lam >= 0:
         raise ValueError("threshold must be nonnegative")
     v = np.asarray(c, dtype=np.complex128)
-    mags = np.abs(v)
-    scale = np.zeros_like(mags)
-    np.divide(np.maximum(mags - lam, 0.0), mags, out=scale, where=mags > 0)
-    return v * scale
+    return _Threshold(v.shape)(v, lam, np.empty_like(v))
 
 
 def project_fidelity(
@@ -108,17 +178,53 @@ def project_fidelity(
         if y.shape[0] != sample.count:
             raise ValueError("sampled values do not match the sample set")
         sample, y = extend_by_zero(np.ones(sample.count), sample), extend_by_zero(y, sample)
-    rho = system._synthesize_array(c)
-    rho *= sample
-    rho -= y
-    norm_rho = _row_norms(rho)
-    over = norm_rho > sigma
-    if not over.any():
-        return c.copy()
-    # rows inside their ball get scale 0, so the analysis leaves them unchanged
-    ratio = np.divide(sigma, norm_rho, out=np.ones_like(norm_rho), where=over)
-    rho *= (1.0 - ratio)[..., None]
-    return c - system._analyze_array(rho)
+    x = _Projection(system, sample, y, sigma, c.shape)(c)
+    return c.copy() if x is c else x
+
+
+class _Stack:
+    """The rows of a solve that are still iterating: their problem data and
+    the work buffers of one Douglas-Rachford step.  The buffers are made once
+    and remade only when rows leave the stack."""
+
+    def __init__(self, system: OrthonormalSystem, rows, mask, y, sigma, z):
+        self.system, self.rows, self.mask, self.y, self.sigma = system, rows, mask, y, sigma
+        self.project = _Projection(system, mask, y, sigma, z.shape)
+        self.threshold = _Threshold(z.shape)
+        # Two (2, B, M) buffers take turns: [0] holds the reflection 2x - z,
+        # then z_next - z; [1] holds z_next, the next step's z.  One matmul
+        # gives the row norms of both halves.
+        pairs = [np.empty((2,) + z.shape, dtype=np.complex128) for _ in range(2)]
+        pairs[0][1] = z
+        self.current, self.other = ((pair[0], pair[1], _Norms(pair)) for pair in pairs)
+        self.shrunk = np.empty(z.shape, dtype=np.complex128)
+        self.bound = np.empty(rows.size)
+        self.stopped = np.empty(rows.size, dtype=bool)
+
+    def step(self, lam: float, tolerance: float) -> int:
+        """One iteration; marks the rows that stop in ``stopped`` and returns their count."""
+        z = self.current[1]
+        work, z_next, norms = self.other
+        x = self.project(z)
+        np.multiply(2.0, x, out=work)
+        np.subtract(work, z, out=work)
+        self.threshold(work, lam, out=self.shrunk)
+        np.add(z, self.shrunk, out=z_next)
+        np.subtract(z_next, x, out=z_next)
+        np.subtract(z_next, z, out=work)
+        delta, size = norms()
+        bound = np.maximum(1.0, size, out=self.bound)
+        np.multiply(tolerance, bound, out=bound)
+        np.less_equal(delta, bound, out=self.stopped)
+        self.current, self.other = self.other, self.current
+        return np.count_nonzero(self.stopped)
+
+    def without_stopped(self) -> "_Stack":
+        keep = ~self.stopped
+        z = self.current[1]
+        rest = _Stack(self.system, *(a[keep] for a in (self.rows, self.mask, self.y, self.sigma, z)))
+        rest.shrunk[...] = self.shrunk[keep]
+        return rest
 
 
 @dataclass(frozen=True)
@@ -131,11 +237,12 @@ class RecoveryConfig:
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.tolerance <= 0:
+        # written so that NaN fails too: the solver's soft threshold needs step > 0
+        if not self.tolerance > 0:
             raise ValueError("tolerance must be positive")
-        if self.step <= 0:
+        if not self.step > 0:
             raise ValueError("step must be positive")
-        if self.fidelity_radius < 0:
+        if not self.fidelity_radius >= 0:
             raise ValueError("fidelity radius must be nonnegative")
 
 
@@ -225,36 +332,27 @@ def recover_l1_batch(
     best = np.empty((count, system.size), dtype=np.complex128)
     iterations = np.full(count, max_iterations)
     converged = np.zeros(count, dtype=bool)
-    # the active stack: rows still iterating, and their problem data
-    rows, a_mask, a_y, a_sigma = np.arange(count), mask, y_ext, sigma
-    z = system._analyze_array(y_ext)
+    stack = _Stack(system, np.arange(count), mask, y_ext, sigma, system._analyze_array(y_ext))
     for it in range(1, max_iterations + 1):
-        x = project_fidelity(system, z, a_mask, a_y, a_sigma)
-        shrunk = soft_threshold(2.0 * x - z, step)
-        z_next = z + shrunk - x
-        delta = _row_norms(z_next - z)
-        z = z_next
-        stopped = delta <= tolerance * np.maximum(1.0, _row_norms(z))
-        if stopped.any():
-            best[rows[stopped]] = shrunk[stopped]
+        n_stopped = stack.step(step, tolerance)
+        if n_stopped:
+            stopped, rows = stack.stopped, stack.rows
+            best[rows[stopped]] = stack.shrunk[stopped]
             converged[rows[stopped]] = True
             iterations[rows[stopped]] = it
-            keep = ~stopped
-            z, shrunk, rows, a_mask, a_y, a_sigma = (
-                a[keep] for a in (z, shrunk, rows, a_mask, a_y, a_sigma)
-            )
-            if not rows.size:
+            if n_stopped == rows.size:
                 break
+            stack = stack.without_stopped()
     else:
-        best[rows] = shrunk  # rows that ran out of iterations
+        best[stack.rows] = stack.shrunk  # rows that ran out of iterations
 
     c_star = project_fidelity(system, best, mask, y_ext, sigma)
     recovered = system._synthesize_array(c_star)
-    residual = _row_norms(recovered * mask - y_ext)
+    residual = _Norms(recovered * mask - y_ext)()
     coefficient_l1 = np.abs(c_star).sum(axis=-1)
     rel_err = [None] * count
     if truths is not None:
-        err = _row_norms(recovered - np.stack([t.values for t in truths]))
+        err = _Norms(recovered - np.stack([t.values for t in truths]))()
         rel_err = [float(e) / t.l2 if t.l2 > 0 else None for e, t in zip(err, truths)]
     return [
         RecoveryResult(

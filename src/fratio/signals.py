@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 
-from .groups import FiniteAbelianGroup, Signal
+from .groups import FiniteAbelianGroup, Signal, check_domain_size
 from .ratio import harmonic_model
 from .systems import OrthonormalSystem
 
@@ -66,13 +66,16 @@ def read_signal(path) -> Signal:
     """Read a file written by write_signal: every index of the domain exactly once, in any order.
 
     A row with an index outside the domain, a repeated index or a non-finite
-    value is a ValueError that names its line.
+    value is a ValueError that names its line; so is a header whose domain
+    exceeds ``MAX_DOMAIN_SIZE``, before anything is allocated.
     """
     with open(path) as fh:
         header = fh.readline().split()
         if not header:
             raise ValueError(f"{path}: missing factor header line")
-        group = FiniteAbelianGroup(tuple(int(n) for n in header))
+        factors = tuple(int(n) for n in header)
+        check_domain_size(factors)
+        group = FiniteAbelianGroup(factors)
         values = np.zeros(group.size, dtype=np.complex128)
         line_of = {}  # index -> the line that gave it
         for lineno, line in enumerate(fh, start=2):

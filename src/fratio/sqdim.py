@@ -191,13 +191,18 @@ class CoveringParams:
     eps: float = 1.0 / 16.0
 
 
-def covering_params(M: int, tau: float, r: float) -> CoveringParams:
+def _check_covering_args(M: int, tau: float, r: float) -> None:
+    """Validate the (domain size, incoherence, ratio bound) triple of the covering bounds."""
     if M < 1:
         raise ValueError("M must be >= 1")
     if tau < M**-0.5 * (1 - 1e-12):
         raise ValueError("tau cannot be below M^{-1/2}")
     if r < 1:
         raise ValueError("r must be >= 1")
+
+
+def covering_params(M: int, tau: float, r: float) -> CoveringParams:
+    _check_covering_args(M, tau, r)
     k = math.ceil(16**2 * M * tau**2 * r**2)
     N2 = math.ceil(16 * tau * r * math.sqrt(M))
     N1 = math.ceil(16 * tau * k)
@@ -234,12 +239,7 @@ def sq_dim_log2(M: int, tau: float, r: float) -> float:
 
     Evaluated in log space, so it never overflows.
     """
-    if M < 1:
-        raise ValueError("M must be >= 1")
-    if tau < M**-0.5 * (1 - 1e-12):
-        raise ValueError("tau cannot be below M^{-1/2}")
-    if r < 1:
-        raise ValueError("r must be >= 1")
+    _check_covering_args(M, tau, r)
     E = 16**2 * M * tau**2 * r**2
     middle = 16**3 * tau**3 * M * r**2 + 1.0
     return E * math.log2(M) + math.log2(middle) + E * math.log2(16 * tau * r * math.sqrt(M))

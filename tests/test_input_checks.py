@@ -1,0 +1,145 @@
+"""Outside input is checked before it costs anything: the one domain-size cap
+(system specs, signal file headers, descriptor streams), flags that only the
+subcommand reading them accepts, the covering-bound arguments and the solver
+settings."""
+import math
+
+import numpy as np
+import pytest
+
+from fratio import groups, parse_system
+from fratio.bitio import MalformedStreamError
+from fratio.cli import main
+from fratio.codec import Descriptor
+from fratio.recovery import RecoveryConfig, soft_threshold
+from fratio.signals import read_signal
+from fratio.sqdim import covering_params, sq_dim_log2
+
+_EMPTY = np.array([], dtype=np.int64)
+
+
+@pytest.fixture
+def cap_64(monkeypatch):
+    # a small cap stands in for 2^24, so no test asks for a large allocation
+    monkeypatch.setattr(groups, "MAX_DOMAIN_SIZE", 64)
+
+
+class TestDomainCap:
+    def test_the_cap_lives_in_groups_and_codec_still_exports_it(self):
+        from fratio.codec import MAX_DOMAIN_SIZE
+
+        assert groups.MAX_DOMAIN_SIZE == MAX_DOMAIN_SIZE == 1 << 24
+
+    @pytest.mark.parametrize("spec", ["dft:9x9", "dft:65", "wht:7", "gabor:N=9,T=9", "haar:128"])
+    def test_system_spec_above_the_cap_is_refused(self, cap_64, spec):
+        with pytest.raises(ValueError, match="cap"):
+            parse_system(spec)
+
+    @pytest.mark.parametrize("spec", ["dft:8x8", "dft:64", "wht:6", "gabor:N=8,T=8", "haar:64"])
+    def test_system_spec_at_the_cap_is_built(self, cap_64, spec):
+        assert parse_system(spec).size == 64
+
+    def test_large_wht_order_is_refused(self):
+        with pytest.raises(ValueError, match="cap"):
+            parse_system("wht:100000")
+
+    def test_signal_file_header_above_the_cap_is_refused_before_any_row(self, cap_64, tmp_path):
+        path = tmp_path / "big.txt"
+        rows = "".join(f"{i} 1.0 0.0\n" for i in range(81))
+        path.write_text("9 9\n" + rows)
+        with pytest.raises(ValueError, match="cap"):
+            read_signal(path)
+        path.write_text("9 9\n")
+        with pytest.raises(ValueError, match="cap"):
+            read_signal(path)
+
+    def test_signal_file_at_the_cap_is_read(self, cap_64, tmp_path):
+        path = tmp_path / "ok.txt"
+        path.write_text("8 8\n" + "".join(f"{i} 1.0 0.0\n" for i in range(64)))
+        assert read_signal(path).group.size == 64
+
+    def test_decoder_refuses_a_domain_above_the_cap(self, monkeypatch):
+        blob = Descriptor((9, 9), "dft", 0, 1.0, 0.2, _EMPTY, _EMPTY, _EMPTY).serialize()
+        assert Descriptor.deserialize(blob).group.size == 81
+        monkeypatch.setattr(groups, "MAX_DOMAIN_SIZE", 64)
+        with pytest.raises(MalformedStreamError, match="cap"):
+            Descriptor.deserialize(blob)
+
+    def test_no_stream_is_written_above_the_cap(self, cap_64):
+        with pytest.raises(ValueError, match="cap"):
+            Descriptor((9, 9), "dft", 0, 1.0, 0.2, _EMPTY, _EMPTY, _EMPTY).serialize()
+
+    def test_check_stops_at_the_first_product_above_the_cap(self):
+        def factors():
+            yield 1 << 24
+            yield 2
+            raise AssertionError("read past the first product above the cap")
+
+        with pytest.raises(ValueError, match="cap"):
+            groups.check_domain_size(factors())
+        groups.check_domain_size((1 << 12, 1 << 12))
+
+
+class TestFormatFlag:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fr", "--system", "dft:8"],
+            ["recover", "--system", "dft:8"],
+            ["localize", "--system", "dft:4x2"],
+            ["rdcodec", "roundtrip", "--system", "dft:8"],
+            ["sqdim", "--system", "dft:8"],
+            ["erasure", "--N", "10", "--T", "2", "--theta", "0.05", "--E-max", "2"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_only_phase_takes_format(self, capsys, argv, fmt):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + ["--format", fmt])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--format" in captured.err
+
+    def test_phase_csv_goes_through_the_same_writer(self, capsys, tmp_path):
+        argv = ["phase", "--system", "dft:8", "--p", "1.0", "--trials", "2", "--format", "csv"]
+        assert main(argv) == 0
+        printed = capsys.readouterr().out
+        out = tmp_path / "sweep.csv"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_text() == printed
+        assert printed.splitlines()[0] == "system,M,signal,p,trials,success_rate,mean_relative_error"
+
+
+class TestCoveringArgs:
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((0, 1.0, 1.0), "M must be >= 1"),
+            ((16, 0.2, 1.0), "tau cannot be below"),
+            ((16, 0.25, 0.5), "r must be >= 1"),
+        ],
+    )
+    def test_both_bounds_refuse_with_the_same_message(self, args, message):
+        for bound in (covering_params, sq_dim_log2):
+            with pytest.raises(ValueError, match=message):
+                bound(*args)
+
+    def test_both_bounds_accept_tau_at_its_floor(self):
+        M = 16
+        tau = M**-0.5
+        assert covering_params(M, tau, 1.0).k == math.ceil(16**2 * M * tau**2)
+        assert math.isfinite(sq_dim_log2(M, tau, 1.0))
+
+
+class TestSolverSettings:
+    # the soft threshold divides in place where |z| > 0, which relies on a threshold >= 0
+    @pytest.mark.parametrize("field", ["step", "tolerance", "fidelity_radius"])
+    def test_nan_settings_are_refused(self, field):
+        with pytest.raises(ValueError):
+            RecoveryConfig(**{field: math.nan})
+
+    def test_nan_threshold_is_refused(self):
+        with pytest.raises(ValueError):
+            soft_threshold(np.ones(3, dtype=complex), math.nan)
