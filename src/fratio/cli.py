@@ -3,7 +3,8 @@
 Subcommands: fr, recover, phase, localize, rdcodec, sqdim, erasure.
 Reports are deterministic functions of the arguments: JSON, or CSV for the
 phase sweep with --format csv (no other subcommand takes --format).  A JSON
-config file may supply defaults; explicit flags win.
+config file may supply defaults; explicit flags win.  A bad flag, config
+value or input is a usage error: ``fratio <cmd>: error: ...`` and exit 2.
 """
 from __future__ import annotations
 
@@ -176,8 +177,8 @@ def cmd_erasure(args) -> None:
     _emit(asdict(stats), args.out)
 
 
-def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
-    """Build the argument parser; config values become defaults on every subparser."""
+def build_parser() -> argparse.ArgumentParser:
+    """Build the argument parser; ``main`` applies a config file's defaults."""
     parser = argparse.ArgumentParser(prog="fratio")
     parser.add_argument("--config", default=None, help="JSON file with default argument values")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -243,29 +244,67 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--E-max", type=int, default=None, dest="E_max")
     _add_common(p)
     p.set_defaults(func=cmd_erasure)
-
-    if config:
-        # config values become defaults everywhere they apply; explicit flags
-        # still win because parse_args overwrites defaults
-        defaults = {key.replace("-", "_"): value for key, value in config.items()}
-        parser.set_defaults(**{k: v for k, v in defaults.items() if k != "command"})
-        for child in sub.choices.values():
-            known = {a.dest for a in child._actions}
-            child.set_defaults(**{k: v for k, v in defaults.items() if k in known})
     return parser
+
+
+def _subcommands(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
+    return next(a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+
+
+def _flags(child: argparse.ArgumentParser) -> dict[str, argparse.Action]:
+    """The flags of a subcommand by destination, without --help."""
+    return {
+        a.dest: a for a in child._actions if a.option_strings and not isinstance(a, argparse._HelpAction)
+    }
+
+
+def _read_config(parser: argparse.ArgumentParser, path: str) -> dict:
+    """The config file as {destination: (key, value)}; any flaw is a usage error."""
+    try:
+        with open(path) as fh:
+            config = json.load(fh)
+    except (OSError, ValueError) as exc:
+        parser.error(f"cannot read config {path}: {exc}")
+    if not isinstance(config, dict):
+        parser.error(f"config {path} must hold a JSON object, not {type(config).__name__}")
+    known = set().union(*(_flags(child) for child in _subcommands(parser).values()))
+    for key in config:
+        if key.replace("-", "_") not in known:
+            parser.error(f"config key {key!r} is not a flag of any subcommand")
+    return {key.replace("-", "_"): (key, value) for key, value in config.items()}
+
+
+def _apply_config(child: argparse.ArgumentParser, config: dict) -> None:
+    """Config values become the subcommand's defaults, each checked as its
+    str() argv token by the flag's own type and choices; explicit flags still
+    win because parse_args overwrites defaults."""
+    flags = _flags(child)
+    defaults = {}
+    for dest, (key, value) in config.items():
+        action = flags.get(dest)
+        if action is None:
+            continue  # a flag of another subcommand
+        if value is None or isinstance(value, (list, dict)):
+            child.error(f"config key {key!r}: {json.dumps(value)} is not a flag value")
+        token = str(value)
+        try:
+            converted = action.type(token) if action.type else token
+        except (TypeError, ValueError):
+            child.error(f"config key {key!r}: invalid {action.type.__name__} value {token!r}")
+        if action.choices is not None and converted not in action.choices:
+            child.error(f"config key {key!r}: invalid choice {token!r} (choose from {', '.join(action.choices)})")
+        defaults[dest] = converted
+    child.set_defaults(**defaults)
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    pre = argparse.ArgumentParser(add_help=False)
-    pre.add_argument("--config", default=None)
-    pre_args, _ = pre.parse_known_args(argv)
-    config = None
-    if pre_args.config:
-        with open(pre_args.config) as fh:
-            config = json.load(fh)
-    parser = build_parser(config)
+    parser = build_parser()
     args = parser.parse_args(argv)
+    child = _subcommands(parser)[args.command]
+    if args.config:
+        _apply_config(child, _read_config(parser, args.config))
+        args = parser.parse_args(argv)
     decode_only = args.command == "rdcodec" and args.action == "decode"
     for required in ("system", "N", "T", "theta", "E_max"):
         if required == "system" and decode_only:
@@ -274,7 +313,12 @@ def main(argv=None) -> int:
             parser.error(f"missing required setting {required!r} (flag or config file)")
     if decode_only and not args.descriptor:
         parser.error("decode needs --descriptor")
-    args.func(args)
+    try:
+        args.func(args)
+    except BrokenPipeError:  # the reader of stdout went away: not a usage error
+        raise
+    except (ValueError, OSError) as exc:  # MalformedStreamError is a ValueError
+        child.error(str(exc))
     return 0
 
 

@@ -7,8 +7,9 @@ estimate is unbiased with mean-squared error at most M tau^2 r^2 / k.
 
 ``sq_sample`` and ``sq_mse`` draw through one recipe (``_WeightedDraws``).
 ``sq_mse`` runs its trials as (rows, M) stacks of about ``_STACK_ENTRIES``
-entries: one draw, one ``np.bincount`` accumulation and one synthesis per
-stack.  The random stream and every row's arithmetic are those of one trial
+entries: one draw, one accumulation (``_accumulate``, the same one
+``RandomFunctional.coefficient_weights`` runs on one row) and one synthesis
+per stack.  The random stream and every row's arithmetic are those of one trial
 at a time, so reports do not depend on the stack size.
 """
 from __future__ import annotations
@@ -28,6 +29,20 @@ from .systems import OrthonormalSystem
 _STACK_ENTRIES = 1 << 14
 
 
+def _accumulate(indices: np.ndarray, phases: np.ndarray, M: int) -> np.ndarray:
+    """Per row of (rows, k) draws, the length-M sum of the phases at their indices.
+
+    bincount adds each row's phases in draw order from +0.0, as np.add.at on
+    zeros would, so the bits are the same.
+    """
+    rows = indices.shape[0]
+    flat = (indices + M * np.arange(rows)[:, None]).reshape(-1)
+    w = np.empty((rows, M), dtype=np.complex128)
+    w.real = np.bincount(flat, weights=phases.real.reshape(-1), minlength=rows * M).reshape(rows, M)
+    w.imag = np.bincount(flat, weights=phases.imag.reshape(-1), minlength=rows * M).reshape(rows, M)
+    return w
+
+
 @dataclass(frozen=True)
 class RandomFunctional:
     """k-term random estimate P(x) = A * sum_i phi_{m_i}(x) u_i of a signal."""
@@ -44,9 +59,8 @@ class RandomFunctional:
 
     def coefficient_weights(self) -> np.ndarray:
         """Aggregated coefficient vector A * sum_i u_i e_{m_i}."""
-        w = np.zeros(self.system.size, dtype=np.complex128)
-        np.add.at(w, self.indices, self.phases)
-        return self.amplitude * w
+        w = _accumulate(np.asarray(self.indices)[None], np.asarray(self.phases)[None], self.system.size)
+        return self.amplitude * w[0]
 
     def evaluate(self) -> np.ndarray:
         """Values of the functional on the whole domain."""
@@ -160,12 +174,7 @@ def sq_mse(
     for start in range(0, trials, rows):
         n = min(rows, trials - start)
         idx, phases = weighted.draw(rng, (n, k))
-        # bincount adds each row's phases in draw order, as np.add.at would
-        flat = (idx + M * np.arange(n)[:, None]).reshape(-1)
-        w = np.empty((n, M), dtype=np.complex128)
-        w.real = np.bincount(flat, weights=phases.real.reshape(-1), minlength=n * M).reshape(n, M)
-        w.imag = np.bincount(flat, weights=phases.imag.reshape(-1), minlength=n * M).reshape(n, M)
-        P = system._synthesize_array(amplitude * w)
+        P = system._synthesize_array(amplitude * _accumulate(idx, phases, M))
         per_trial[start : start + n] = (distribution * np.abs(f.values - P) ** 2).sum(axis=-1)
     bound = M * system.tau**2 * r**2 / k
     std_error = float(per_trial.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0

@@ -142,21 +142,34 @@ class WalshHadamardSystem(CharacterSystem):
         return self._butterfly(entries)
 
     def _butterfly(self, values: np.ndarray) -> np.ndarray:
-        # the orthonormal length-2 DFT along each factor, last factor first as
-        # in the character transform: (a0 + a1) r, (a0 - a1) r with r = 1/sqrt 2,
-        # the same arithmetic as np.fft, so the results agree bit for bit;
-        # forward and inverse coincide on Z_2
+        # the orthonormal length-2 DFT along each factor: (a0 + a1) r and
+        # (a0 - a1) r with r = 1/sqrt 2, the same arithmetic as np.fft, so the
+        # results agree bit for bit; forward and inverse coincide on Z_2.
+        # Autosort layout: a stage pairs adjacent entries (the lowest index
+        # bit) and writes the sums and differences to the two contiguous
+        # halves of the other buffer, which moves that bit to the top.  So
+        # stage k acts on the original bit k, stride 1 first (last factor
+        # first, as in the character transform), and after n stages the bits
+        # are back in order.  Every ufunc runs on long 1-D views, where the
+        # strided stages ran thousands of short inner loops.  The input is only
+        # read, and each call returns a fresh buffer (callers write into it).
         x = np.asarray(values, dtype=np.complex128)
-        lead, size = x.shape[:-1], x.shape[-1]
-        stride = 1
-        while stride < size:
-            pairs = x.reshape(lead + (-1, 2, stride))
-            x = np.empty_like(pairs)
-            np.add(pairs[..., 0, :], pairs[..., 1, :], out=x[..., 0, :])
-            np.subtract(pairs[..., 0, :], pairs[..., 1, :], out=x[..., 1, :])
-            x.view(np.float64)[...] *= _INV_SQRT2
-            stride *= 2
-        return x.reshape(values.shape)
+        lead = x.shape[:-1]
+        pair_shape = lead + (x.shape[-1] // 2, 2)
+        buffers = [np.empty(lead + (2, pair_shape[-2]), dtype=np.complex128) for _ in range(min(self.n, 2))]
+        # per buffer, the views a stage writes (sums, differences, float64
+        # parts) and the views the next stage reads (even, odd entries)
+        writes = [(b[..., 0, :], b[..., 1, :], b.view(np.float64)) for b in buffers]
+        reads = [(p[..., 0], p[..., 1]) for p in (b.reshape(pair_shape) for b in buffers)]
+        pairs = x.reshape(pair_shape)
+        even, odd = pairs[..., 0], pairs[..., 1]
+        for stage in range(self.n):
+            sums, differences, parts = writes[stage % 2]
+            np.add(even, odd, out=sums)
+            np.subtract(even, odd, out=differences)
+            np.multiply(parts, _INV_SQRT2, out=parts)
+            even, odd = reads[stage % 2]
+        return buffers[(self.n - 1) % 2].reshape(values.shape)
 
 
 class GaborBlockSystem(OrthonormalSystem):
