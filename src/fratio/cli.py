@@ -2,14 +2,18 @@
 
 Subcommands: fr, recover, phase, localize, rdcodec, sqdim, erasure.
 Reports are deterministic functions of the arguments: JSON, or CSV for the
-phase sweep with --format csv (no other subcommand takes --format).  A JSON
-config file may supply defaults; explicit flags win.  A bad flag, config
-value or input is a usage error: ``fratio <cmd>: error: ...`` and exit 2.
+phase sweep with --format csv (no other subcommand takes --format).  Every
+subcommand takes --seed and --out; only phase, sqdim and erasure take
+--trials, and only phase takes --jobs.  A JSON config file may supply
+defaults; explicit flags win.  A bad flag, config value or input is a usage
+error: ``fratio <cmd>: error: ...`` and exit 2.  A closed stdout ends the
+command quietly with exit 1.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from dataclasses import asdict
@@ -57,8 +61,6 @@ def _jsonify(obj):
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--trials", type=int, default=50)
-    parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--out", default=None)
 
 
@@ -208,6 +210,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, default=0.0)
     p.add_argument("--max-iterations", type=int, default=5000)
     p.add_argument("--format", choices=["json", "csv"], default="json")
+    p.add_argument("--trials", type=int, default=50)
+    p.add_argument("--jobs", type=int, default=1)
     _add_common(p)
     p.set_defaults(func=cmd_phase)
 
@@ -234,6 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--signal", default="rademacher")
     p.add_argument("--r", type=float, default=1.0)
     p.add_argument("--mse-k", type=int, default=0, help="if > 0, run the MSE experiment with this k")
+    p.add_argument("--trials", type=int, default=50)
     _add_common(p)
     p.set_defaults(func=cmd_sqdim)
 
@@ -242,6 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--T", type=int, default=None)
     p.add_argument("--theta", type=float, default=None)
     p.add_argument("--E-max", type=int, default=None, dest="E_max")
+    p.add_argument("--trials", type=int, default=50)
     _add_common(p)
     p.set_defaults(func=cmd_erasure)
     return parser
@@ -315,8 +321,12 @@ def main(argv=None) -> int:
         parser.error("decode needs --descriptor")
     try:
         args.func(args)
+        sys.stdout.flush()  # so a closed stdout surfaces here, not at exit
     except BrokenPipeError:  # the reader of stdout went away: not a usage error
-        raise
+        # the interpreter flushes stdout again at exit; send that to devnull
+        # (the recipe in the signal module's documentation)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, OSError) as exc:  # MalformedStreamError is a ValueError
         child.error(str(exc))
     return 0

@@ -5,9 +5,11 @@ divided by sqrt(|K|).  The global ratio can be taken with respect to the full
 transform on G or the row-wise partial transform (transform in the H variables
 only); the report names which reading was used.
 
-The slice transforms are the row-wise transform regrouped by slice, so a
-check takes one row-wise transform (and one full transform for that reading)
-and the slices' l1 norms in one reduction; no transform runs per slice.
+Both readings and the slice transforms come from ``CharacterSystem``: the
+slice transforms are one stacked transform on H of the (|K|, |H|) slice array,
+the row-wise transform is that array read in G order, and the full reading is
+the transform on G.  The slices' l1 and l2 norms are stacked reductions; no
+Python code runs per slice.
 """
 from __future__ import annotations
 
@@ -17,6 +19,7 @@ import numpy as np
 
 from .groups import FiniteAbelianGroup, Signal
 from .ratio import fourier_ratio
+from .systems import make_dft
 
 
 @dataclass(frozen=True)
@@ -62,30 +65,14 @@ def reassemble(slices: np.ndarray, d: ProductDecomposition) -> Signal:
     return Signal(d.group, slices.T.reshape(-1))
 
 
-def _full_transform(f: Signal) -> np.ndarray:
-    return np.fft.fftn(f.values.reshape(f.group.shape), norm="ortho").reshape(-1)
+def slice_transforms(f: Signal, d: ProductDecomposition) -> np.ndarray:
+    """Per-slice character transforms on H, C-contiguous (|K|, |H|): row k transforms f_k."""
+    return make_dft(d.h_group)._analyze_array(slice_signal(f, d))
 
 
 def _rowwise_transform(f: Signal, d: ProductDecomposition) -> np.ndarray:
-    if f.group != d.group:
-        raise ValueError("signal group does not match the decomposition")
-    shaped = f.values.reshape(f.group.shape)
-    h_axes = tuple(range(d.h_count))
-    return np.fft.fftn(shaped, axes=h_axes, norm="ortho").reshape(-1)
-
-
-def _as_slices(rowwise: np.ndarray, d: ProductDecomposition) -> np.ndarray:
-    """The row-wise transform regrouped by slice, C-contiguous, shape (|K|, |H|)."""
-    return rowwise.reshape(d.h_size, d.k_size).T.copy()
-
-
-def slice_transforms(f: Signal, d: ProductDecomposition) -> np.ndarray:
-    """Per-slice character transforms on H, shape (|K|, |H|).
-
-    Row k is the transform of the slice f_k: the row-wise transform of f,
-    regrouped by slice.
-    """
-    return _as_slices(_rowwise_transform(f, d), d)
+    """The transform of f in the H variables only, in G order."""
+    return slice_transforms(f, d).T.reshape(-1)
 
 
 @dataclass(frozen=True)
@@ -102,7 +89,7 @@ class LocalizationReport:
 def localization_check(
     f: Signal, d: ProductDecomposition, transform: str = "rowwise", rel_tol: float = 1e-9
 ) -> LocalizationReport:
-    """Check max_k FR_H(f_k) >= FR_G(f) / sqrt(|K|) for a nonzero signal.
+    """Check max_k FR_H(f_k) >= FR_G(f) / sqrt(|K|) for a finite nonzero signal.
 
     transform="rowwise" transforms in the H variables only, under which the
     global coefficient array coincides slice-by-slice with the f_k hats and
@@ -112,31 +99,28 @@ def localization_check(
     row-delta family.  Identically-zero slices are skipped; their ratio is
     undefined and they can never be the maximizer.
     """
+    if not np.isfinite(f.values).all():
+        raise ValueError("localization check needs a finite signal")
     if not f.is_nonzero:
         raise ValueError("localization check needs a nonzero signal")
-    rowwise = _rowwise_transform(f, d)
+    hats = slice_transforms(f, d)
     if transform == "full":
-        global_coeffs = _full_transform(f)
+        global_fr = fourier_ratio(make_dft(f.group)._analyze_array(f.values))
     elif transform == "rowwise":
-        global_coeffs = rowwise
+        global_fr = fourier_ratio(hats.T)  # flattened in G order, as the row-wise transform
     else:
         raise ValueError(f"unknown transform reading {transform!r}")
-    global_fr = fourier_ratio(global_coeffs)
-    hats = _as_slices(rowwise, d)
-    # each row's l1 as fourier_ratio sums it (C-contiguous rows, pairwise sums)
+    # each row's l1 as fourier_ratio sums it (C-contiguous rows, pairwise
+    # sums) and its l2 as np.linalg.norm computes it, sqrt(re.re + im.im),
+    # with each dot a (|K|, 1, |H|) @ (|K|, |H|, 1) matmul
     l1s = np.abs(hats).sum(axis=1)
-    max_slice_fr = -np.inf
-    achieving_k = -1
-    skipped = 0
-    for k in range(d.k_size):
-        l2 = float(np.linalg.norm(hats[k]))
-        if l2 == 0.0:
-            skipped += 1
-            continue
-        fr_k = float(l1s[k]) / l2
-        if fr_k > max_slice_fr:
-            max_slice_fr = fr_k
-            achieving_k = k
+    re, im = hats.real, hats.imag
+    l2s = np.sqrt(np.matmul(re[:, None, :], re[:, :, None]) + np.matmul(im[:, None, :], im[:, :, None]))[:, 0, 0]
+    # as in a strict > scan: a zero slice is skipped, one whose transform
+    # overflowed (l1 inf or NaN) never wins, and the first maximum does
+    ratios = np.divide(l1s, l2s, out=np.full(d.k_size, -np.inf), where=(l2s > 0.0) & (l1s < np.inf))
+    achieving_k = int(np.argmax(ratios))
+    max_slice_fr = ratios[achieving_k]
     lower_bound = global_fr / np.sqrt(d.k_size)
     holds = max_slice_fr >= lower_bound - rel_tol * global_fr
     return LocalizationReport(
@@ -144,7 +128,7 @@ def localization_check(
         global_fr=float(global_fr),
         lower_bound=float(lower_bound),
         holds=bool(holds),
-        achieving_k=achieving_k,
+        achieving_k=achieving_k if max_slice_fr > -np.inf else -1,
         transform=transform,
-        skipped_zero_slices=skipped,
+        skipped_zero_slices=int(np.count_nonzero(l2s == 0.0)),
     )

@@ -155,6 +155,24 @@ def soft_threshold(c: np.ndarray, lam: float) -> np.ndarray:
     return _Threshold(v.shape)(v, lam, np.empty_like(v))
 
 
+def _pack(system: OrthonormalSystem, samples: Sequence[SampleSet], ys: Sequence[np.ndarray]):
+    """The (B, M) complex indicators of the kept points and the zero-extended
+    sampled values of B (sample, values) pairs, each checked against the system."""
+    mask = np.zeros((len(samples), system.size), dtype=np.complex128)
+    y_ext = np.zeros((len(samples), system.size), dtype=np.complex128)
+    for i, (sample, y) in enumerate(zip(samples, ys)):
+        y = np.asarray(y, dtype=np.complex128)
+        if sample.group != system.group:
+            raise ValueError(f"sample on {sample.group} does not match system on {system.group}")
+        if y.shape != (sample.count,):
+            raise ValueError("sampled values do not match the sample set")
+        if not np.isfinite(y).all():
+            raise ValueError("sampled values must be finite")
+        mask[i, sample.kept] = 1.0
+        y_ext[i, sample.kept] = y
+    return mask, y_ext
+
+
 def project_fidelity(
     system: OrthonormalSystem,
     c: np.ndarray,
@@ -174,10 +192,7 @@ def project_fidelity(
     """
     c = np.asarray(c, dtype=np.complex128)
     if isinstance(sample, SampleSet):
-        y = np.asarray(y, dtype=np.complex128)
-        if y.shape[0] != sample.count:
-            raise ValueError("sampled values do not match the sample set")
-        sample, y = extend_by_zero(np.ones(sample.count), sample), extend_by_zero(y, sample)
+        (sample,), (y,) = _pack(system, [sample], [y])
     x = _Projection(system, sample, y, sigma, c.shape)(c)
     return c.copy() if x is c else x
 
@@ -315,18 +330,7 @@ def recover_l1_batch(
                 None if truths is None else truths[start : start + per_stack],
             )
         ]
-    mask = np.zeros((count, system.size), dtype=np.complex128)
-    y_ext = np.zeros((count, system.size), dtype=np.complex128)
-    for i, (sample, y) in enumerate(zip(samples, ys)):
-        y = np.asarray(y, dtype=np.complex128)
-        if sample.group != system.group:
-            raise ValueError(f"sample on {sample.group} does not match system on {system.group}")
-        if y.shape != (sample.count,):
-            raise ValueError("sampled values do not match the sample set")
-        if not np.isfinite(y).all():
-            raise ValueError("sampled values must be finite")
-        mask[i, sample.kept] = 1.0
-        y_ext[i, sample.kept] = y
+    mask, y_ext = _pack(system, samples, ys)
     sigma = np.array([cfg.fidelity_radius for cfg in configs])
 
     best = np.empty((count, system.size), dtype=np.complex128)

@@ -1,17 +1,17 @@
 """Outside input is checked before it costs anything: the one domain-size cap
 (system specs, signal file headers, descriptor streams), flags that only the
-subcommand reading them accepts, the covering-bound arguments and the solver
-settings."""
+subcommand reading them accepts, the covering-bound arguments, the solver
+settings, sample sets and non-finite values."""
 import math
 
 import numpy as np
 import pytest
 
-from fratio import groups, parse_system
+from fratio import FiniteAbelianGroup, ProductDecomposition, Signal, groups, localization_check, make_dft, parse_system
 from fratio.bitio import MalformedStreamError
 from fratio.cli import main
 from fratio.codec import Descriptor
-from fratio.recovery import RecoveryConfig, soft_threshold
+from fratio.recovery import RecoveryConfig, bernoulli_sample, project_fidelity, soft_threshold
 from fratio.signals import read_signal
 from fratio.sqdim import covering_params, sq_dim_log2
 
@@ -143,3 +143,66 @@ class TestSolverSettings:
     def test_nan_threshold_is_refused(self):
         with pytest.raises(ValueError):
             soft_threshold(np.ones(3, dtype=complex), math.nan)
+
+
+_ARGV = {
+    "fr": ["fr", "--system", "dft:8"],
+    "recover": ["recover", "--system", "dft:8"],
+    "localize": ["localize", "--system", "dft:4x2"],
+    "rdcodec": ["rdcodec", "roundtrip", "--system", "dft:8"],
+    "sqdim": ["sqdim", "--system", "dft:8"],
+    "erasure": ["erasure", "--N", "10", "--T", "2", "--theta", "0.05", "--E-max", "2"],
+}
+
+
+class TestFlagsPerSubcommand:
+    @pytest.mark.parametrize(
+        "command, flag",
+        [(c, "--trials") for c in ("fr", "recover", "localize", "rdcodec")]
+        + [(c, "--jobs") for c in ("fr", "recover", "localize", "rdcodec", "sqdim", "erasure")],
+    )
+    def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(self, capsys, command, flag):
+        with pytest.raises(SystemExit) as exit_info:
+            main(_ARGV[command] + [flag, "3"])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and flag in captured.err
+
+
+class TestNonFiniteSignal:
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, complex(0.0, np.inf)])
+    @pytest.mark.parametrize("transform", ["rowwise", "full"])
+    def test_localization_check_refuses_it(self, value, transform):
+        group = FiniteAbelianGroup((4, 3))
+        values = np.ones(12, dtype=np.complex128)
+        values[5] = value
+        with pytest.raises(ValueError, match="finite"):
+            localization_check(Signal(group, values), ProductDecomposition(group, 1), transform=transform)
+
+
+class TestSampleSetProjection:
+    def _inputs(self):
+        system = make_dft(FiniteAbelianGroup((4, 3)))
+        rng = np.random.default_rng(9)
+        c = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+        return system, c
+
+    def test_a_sample_on_another_group_is_refused(self):
+        system, c = self._inputs()
+        sample = bernoulli_sample(FiniteAbelianGroup((3, 4)), 0.5, 1)
+        with pytest.raises(ValueError, match="does not match"):
+            project_fidelity(system, c, sample, np.ones(sample.count), 0.0)
+
+    def test_non_finite_sampled_values_are_refused(self):
+        system, c = self._inputs()
+        sample = bernoulli_sample(system.group, 0.5, 1)
+        y = np.ones(sample.count, dtype=np.complex128)
+        y[0] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            project_fidelity(system, c, sample, y, 0.0)
+
+    def test_values_of_the_wrong_length_are_refused(self):
+        system, c = self._inputs()
+        sample = bernoulli_sample(system.group, 0.5, 1)
+        with pytest.raises(ValueError, match="do not match"):
+            project_fidelity(system, c, sample, np.ones(sample.count + 1), 0.0)
