@@ -264,19 +264,19 @@ def _flags(child: argparse.ArgumentParser) -> dict[str, argparse.Action]:
     }
 
 
-def _read_config(parser: argparse.ArgumentParser, path: str) -> dict:
-    """The config file as {destination: (key, value)}; any flaw is a usage error."""
+def _read_config(parser: argparse.ArgumentParser, child: argparse.ArgumentParser, path: str) -> dict:
+    """The config file as {destination: (key, value)}; any flaw is a usage error of ``child``."""
     try:
         with open(path) as fh:
             config = json.load(fh)
     except (OSError, ValueError) as exc:
-        parser.error(f"cannot read config {path}: {exc}")
+        child.error(f"cannot read config {path}: {exc}")
     if not isinstance(config, dict):
-        parser.error(f"config {path} must hold a JSON object, not {type(config).__name__}")
-    known = set().union(*(_flags(child) for child in _subcommands(parser).values()))
+        child.error(f"config {path} must hold a JSON object, not {type(config).__name__}")
+    known = set().union(*(_flags(sub) for sub in _subcommands(parser).values()))
     for key in config:
         if key.replace("-", "_") not in known:
-            parser.error(f"config key {key!r} is not a flag of any subcommand")
+            child.error(f"config key {key!r} is not a flag of any subcommand")
     return {key.replace("-", "_"): (key, value) for key, value in config.items()}
 
 
@@ -306,19 +306,21 @@ def _apply_config(child: argparse.ArgumentParser, config: dict) -> None:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, extra = parser.parse_known_args(argv)
     child = _subcommands(parser)[args.command]
     if args.config:
-        _apply_config(child, _read_config(parser, args.config))
-        args = parser.parse_args(argv)
+        _apply_config(child, _read_config(parser, child, args.config))
+        args, extra = parser.parse_known_args(argv)
+    if extra:  # the subcommand's parser hands what it does not know back up here
+        child.error(f"unrecognized arguments: {' '.join(extra)}")
     decode_only = args.command == "rdcodec" and args.action == "decode"
     for required in ("system", "N", "T", "theta", "E_max"):
         if required == "system" and decode_only:
             continue
         if hasattr(args, required) and getattr(args, required) is None:
-            parser.error(f"missing required setting {required!r} (flag or config file)")
+            child.error(f"missing required setting {required!r} (flag or config file)")
     if decode_only and not args.descriptor:
-        parser.error("decode needs --descriptor")
+        child.error("decode needs --descriptor")
     try:
         args.func(args)
         sys.stdout.flush()  # so a closed stdout surfaces here, not at exit

@@ -23,14 +23,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bitio import BitReader, BitWriter, MalformedStreamError, signed_widths
-from .groups import MAX_DOMAIN_SIZE  # noqa: F401  (the decoder's cap, importable from here as before)
 from .groups import FiniteAbelianGroup, Signal, check_domain_size
 from .ratio import check_bound_args, fourier_ratio, soft_sparsify
 from .systems import SYSTEMS, OrthonormalSystem, system_on_group
 
 MAGIC = b"FRRD"
 VERSION = 1
-_CODE_LABELS = {kind.code: label for label, kind in SYSTEMS.items()}
+_CODE_LABELS = {cls.code: label for label, cls in SYSTEMS.items()}
 # bits of the header fields of fixed size: magic, version, label, two float64
 _FIXED_HEADER_BITS = 8 * len(MAGIC) + 8 + 8 + 2 * 64
 

@@ -18,17 +18,20 @@ import numpy as np
 MAX_DOMAIN_SIZE = 1 << 24
 
 
-def check_domain_size(factors: Iterable[int], error: type[ValueError] = ValueError) -> None:
-    """Raise ``error`` if the cyclic factors span more than MAX_DOMAIN_SIZE points.
+def check_domain_size(factors: Iterable[int], error: type[ValueError] = ValueError) -> tuple[int, ...]:
+    """The cyclic factors as a tuple; ``error`` if they span more than MAX_DOMAIN_SIZE points.
 
     The product stops at the first partial product above the cap, so a long
     or lazy factor list costs no more than a short one.
     """
+    checked = []
     size = 1
     for n in factors:
         size *= n
         if size > MAX_DOMAIN_SIZE:
             raise error(f"domain exceeds the cap of {MAX_DOMAIN_SIZE} points")
+        checked.append(n)
+    return tuple(checked)
 
 
 @dataclass(frozen=True)

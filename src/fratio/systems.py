@@ -5,13 +5,20 @@ tau = max_{x,j} |phi_j(x)|.  Analysis computes <f, phi_j> with the inner
 product sum_x f(x) conj(phi_j(x)); synthesis is the adjoint (exact inverse).
 The character system uses the negative-exponent kernel on the analysis side,
 so it coincides with the conventional orthonormal FFT.
+
+Everything about a system lives on its class: its ``label`` in specs and
+system ids, its ``code`` byte in descriptor streams, the parser of its spec
+parameters (``_parse_params``) beside their writer (``_param_string``), and
+the check, in its constructor, that it can live on a given group.  ``SYSTEMS``
+lists the classes, so adding a system is one class and one name there.  A
+code is never reused: FRRD version 1 streams carry it.
 """
 from __future__ import annotations
 
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Iterable
 
 import numpy as np
 
@@ -49,9 +56,15 @@ class OrthonormalSystem:
     """Analysis/synthesis pair over a fixed group, with incoherence constant tau."""
 
     label: str
+    code: int  # the label's byte in descriptor streams
 
     def __init__(self, group: FiniteAbelianGroup):
         self.group = group
+
+    @staticmethod
+    def _parse_params(params: str) -> Iterable[int]:
+        """The cyclic factors that the spec parameters name, as ``_param_string`` writes them."""
+        return (int(n) for n in params.split("x"))
 
     @property
     def size(self) -> int:
@@ -99,6 +112,7 @@ class CharacterSystem(OrthonormalSystem):
     """Character basis phi_gamma(x) = M^{-1/2} exp(2 pi i <gamma, x>) on a product group."""
 
     label = "dft"
+    code = 0
 
     @property
     def tau(self) -> float:
@@ -125,12 +139,17 @@ class WalshHadamardSystem(CharacterSystem):
     """Walsh system on Z_2^n: entries (-1)^{<j, x>} / 2^{n/2}."""
 
     label = "wht"
+    code = 1
 
-    def __init__(self, n: int):
-        if n < 1:
-            raise ValueError("Walsh system needs n >= 1")
-        self.n = int(n)
-        super().__init__(FiniteAbelianGroup((2,) * self.n))
+    def __init__(self, group: FiniteAbelianGroup):
+        if any(n != 2 for n in group.factors):
+            raise ValueError("wht needs binary factors")
+        super().__init__(group)
+        self.n = len(group.factors)
+
+    @staticmethod
+    def _parse_params(params: str) -> Iterable[int]:
+        return itertools.repeat(2, int(params))  # lazy: the cap check stops early
 
     def _param_string(self) -> str:
         return str(self.n)
@@ -181,13 +200,20 @@ class GaborBlockSystem(OrthonormalSystem):
     """
 
     label = "gabor"
+    code = 2
 
-    def __init__(self, N: int, T: int):
-        if N < 1 or T < 1:
-            raise ValueError("Gabor block system needs N, T >= 1")
-        self.N = int(N)
-        self.T = int(T)
-        super().__init__(FiniteAbelianGroup((self.N, self.T)))
+    def __init__(self, group: FiniteAbelianGroup):
+        if len(group.factors) != 2:
+            raise ValueError("gabor needs exactly two factors")
+        super().__init__(group)
+        self.N, self.T = group.factors
+
+    @staticmethod
+    def _parse_params(params: str) -> Iterable[int]:
+        kv = dict(item.partition("=")[::2] for item in params.split(","))
+        if sorted(kv) != ["N", "T"]:
+            raise ValueError(f"gabor parameters are N=<int>,T=<int>, got {params!r}")
+        return int(kv["N"]), int(kv["T"])
 
     def _param_string(self) -> str:
         return f"N={self.N},T={self.T}"
@@ -215,12 +241,16 @@ class HaarSystem(OrthonormalSystem):
     """
 
     label = "haar"
+    code = 3
 
-    def __init__(self, M: int):
-        M = int(M)
-        if M < 1 or (M & (M - 1)) != 0:
-            raise ValueError(f"Haar system needs a power-of-two length, got {M}")
-        super().__init__(FiniteAbelianGroup((M,)))
+    def __init__(self, group: FiniteAbelianGroup):
+        if len(group.factors) != 1 or group.size & (group.size - 1):
+            raise ValueError(f"haar needs one factor of power-of-two length, got {group}")
+        super().__init__(group)
+
+    @staticmethod
+    def _parse_params(params: str) -> Iterable[int]:
+        return (int(params),)
 
     def _param_string(self) -> str:
         return str(self.size)
@@ -268,15 +298,15 @@ def make_dft(group: FiniteAbelianGroup) -> CharacterSystem:
 
 
 def make_wht(n: int) -> WalshHadamardSystem:
-    return WalshHadamardSystem(n)
+    return WalshHadamardSystem(FiniteAbelianGroup((2,) * int(n)))
 
 
 def make_gabor_block(N: int, T: int) -> GaborBlockSystem:
-    return GaborBlockSystem(N, T)
+    return GaborBlockSystem(FiniteAbelianGroup((N, T)))
 
 
 def make_haar(M: int) -> HaarSystem:
-    return HaarSystem(M)
+    return HaarSystem(FiniteAbelianGroup((M,)))
 
 
 @dataclass(frozen=True)
@@ -293,56 +323,13 @@ def check_boundedness(system: OrthonormalSystem) -> BoundednessCheck:
     return BoundednessCheck(tau=tau, bound=bound, passes=tau <= bound * (1.0 + 1e-12))
 
 
-def _wht_on(group: FiniteAbelianGroup) -> WalshHadamardSystem:
-    if any(n != 2 for n in group.factors):
-        raise ValueError("wht needs binary factors")
-    return make_wht(len(group.factors))
-
-
-def _gabor_on(group: FiniteAbelianGroup) -> GaborBlockSystem:
-    if len(group.factors) != 2:
-        raise ValueError("gabor needs exactly two factors")
-    return make_gabor_block(*group.factors)
-
-
-def _haar_on(group: FiniteAbelianGroup) -> HaarSystem:
-    if len(group.factors) != 1:
-        raise ValueError("haar needs exactly one factor")
-    return make_haar(group.factors[0])
-
-
-def _dft_from_params(params: str) -> CharacterSystem:
-    return make_dft(FiniteAbelianGroup(tuple(int(v) for v in params.split("x"))))
-
-
-def _wht_from_params(params: str) -> WalshHadamardSystem:
-    n = int(params)
-    check_domain_size(itertools.repeat(2, n))  # before the n factors are built
-    return make_wht(n)
-
-
-def _gabor_from_params(params: str) -> GaborBlockSystem:
-    kv = dict(item.split("=") for item in params.split(","))
-    return make_gabor_block(int(kv["N"]), int(kv["T"]))
-
-
-@dataclass(frozen=True)
-class SystemKind:
-    code: int  # the label's byte in descriptor streams
-    from_params: Callable[[str], OrthonormalSystem]  # spec parameters: "4x6", "5", "N=16,T=8", "64"
-    on_group: Callable[[FiniteAbelianGroup], OrthonormalSystem]  # raises ValueError on a wrong group
-
-
-# The one table of system labels; spec parsing and the descriptor codec derive from it.
-SYSTEMS: dict[str, SystemKind] = {
-    "dft": SystemKind(0, _dft_from_params, make_dft),
-    "wht": SystemKind(1, _wht_from_params, _wht_on),
-    "gabor": SystemKind(2, _gabor_from_params, _gabor_on),
-    "haar": SystemKind(3, lambda params: make_haar(int(params)), _haar_on),
+# The one table of systems, by label; spec parsing and the descriptor codec read it.
+SYSTEMS: dict[str, type[OrthonormalSystem]] = {
+    cls.label: cls for cls in (CharacterSystem, WalshHadamardSystem, GaborBlockSystem, HaarSystem)
 }
 
 
-def _kind(label: str) -> SystemKind:
+def _kind(label: str) -> type[OrthonormalSystem]:
     if label not in SYSTEMS:
         raise ValueError(f"unknown system label {label!r}")
     return SYSTEMS[label]
@@ -358,11 +345,10 @@ def parse_system(spec: str) -> OrthonormalSystem:
     params = params.strip()
     if not params:
         raise ValueError(f"system spec {spec!r} is missing parameters")
-    system = _kind(label).from_params(params)
-    check_domain_size(system.group.factors)
-    return system
+    kind = _kind(label)
+    return kind(FiniteAbelianGroup(check_domain_size(kind._parse_params(params))))
 
 
 def system_on_group(label: str, group: FiniteAbelianGroup) -> OrthonormalSystem:
     """The system with this label on this group; ValueError if it cannot live there."""
-    return _kind(label).on_group(group)
+    return _kind(label)(group)

@@ -34,6 +34,10 @@ class TestSubcommandErrors:
         err = usage_error(capsys, ["rdcodec", "decode", "--descriptor", str(missing)])
         assert "fratio rdcodec: error:" in err and "missing.frrd" in err
 
+    def test_missing_setting(self, capsys):
+        assert "fratio fr: error: missing required setting 'system'" in usage_error(capsys, ["fr"])
+        assert "fratio rdcodec: error: decode needs --descriptor" in usage_error(capsys, ["rdcodec", "decode"])
+
     def test_malformed_descriptor_stream(self, capsys, tmp_path):
         blob = tmp_path / "junk.frrd"
         blob.write_bytes(b"not a descriptor")
@@ -43,7 +47,7 @@ class TestSubcommandErrors:
 class TestStrictConfig:
     def test_a_list_is_not_a_config(self, capsys, tmp_path):
         err = usage_error(capsys, ["--config", write_config(tmp_path, [1]), "fr", "--system", "dft:8"])
-        assert "must hold a JSON object" in err
+        assert "fratio fr: error: config" in err and "must hold a JSON object" in err
 
     def test_unreadable_config(self, capsys, tmp_path):
         path = tmp_path / "config.json"
@@ -53,7 +57,7 @@ class TestStrictConfig:
 
     def test_unknown_key(self, capsys, tmp_path):
         config = write_config(tmp_path, {"system": "dft:8", "colour": "red"})
-        assert "'colour'" in usage_error(capsys, ["--config", config, "fr"])
+        assert "fratio fr: error: config key 'colour'" in usage_error(capsys, ["--config", config, "fr"])
 
     def test_fractional_int_value(self, capsys, tmp_path):
         config = write_config(tmp_path, {"trials": 1.5})

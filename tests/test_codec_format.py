@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 
 from fratio import Signal, parse_system
 from fratio.bitio import BitReader, BitWriter, MalformedStreamError, signed_widths
-from fratio.codec import MAGIC, MAX_DOMAIN_SIZE, VERSION, Descriptor, _account, rd_decode, rd_encode
+from fratio.codec import MAGIC, VERSION, Descriptor, _account, rd_decode, rd_encode
+from fratio.groups import MAX_DOMAIN_SIZE
 from fratio.signals import generate_signal
 
 PINNED = json.loads((Path(__file__).parent / "data" / "pinned_streams.json").read_text())

@@ -12,6 +12,7 @@ from fratio import (
     make_wht,
     parse_system,
 )
+from fratio.systems import SYSTEMS, system_on_group
 
 from conftest import complex_gaussian
 
@@ -241,6 +242,11 @@ class TestParseSystem:
         with pytest.raises(ValueError):
             parse_system("mystery:3")
 
+    @pytest.mark.parametrize("spec", ["gabor:N=16", "gabor:N16,T=8", "gabor:16x8", "haar:x", "wht:", "dft:4x"])
+    def test_malformed_parameters_are_a_value_error(self, spec):
+        with pytest.raises(ValueError):
+            parse_system(spec)
+
 
 def test_coefficient_vector_norms():
     c = CoefficientVector("dft:4", [3 + 4j, 0, 0, 1])
@@ -266,18 +272,34 @@ def test_wht_butterfly_matches_fft_per_axis_bitwise(n, lead):
     assert wht._synthesize_array(x).tobytes() == dft._synthesize_array(x).tobytes()
 
 
-@pytest.mark.parametrize("spec", ["dft:4x6", "wht:5", "gabor:N=16,T=8", "haar:64"])
-def test_system_on_group_rebuilds_the_parsed_system(spec):
-    from fratio.systems import SYSTEMS, system_on_group
-
-    system = parse_system(spec)
-    assert system.label in SYSTEMS
-    assert system_on_group(system.label, system.group).system_id == spec
+# per label, one spec and the groups the system cannot live on (dft lives on
+# every group); a label added to SYSTEMS without entries here fails both tests
+_SPEC = {"dft": "dft:4x6", "wht": "wht:5", "gabor": "gabor:N=16,T=8", "haar": "haar:64"}
+_WRONG_GROUPS = {"dft": [], "wht": [(2, 3), (4,)], "gabor": [(8,), (2, 2, 2)], "haar": [(4, 4), (6,)]}
 
 
-@pytest.mark.parametrize("label,factors", [("wht", (2, 3)), ("gabor", (8,)), ("haar", (4, 4)), ("haar", (6,)), ("mystery", (4,))])
-def test_system_on_group_rejects_a_group_the_system_cannot_live_on(label, factors):
-    from fratio.systems import system_on_group
+@pytest.mark.parametrize("label", sorted(SYSTEMS))
+def test_system_on_group_rebuilds_the_parsed_system(label):
+    system = parse_system(_SPEC[label])
+    assert type(system) is SYSTEMS[label] and system.label == label
+    assert system_on_group(label, system.group).system_id == _SPEC[label]
 
-    with pytest.raises(ValueError):
-        system_on_group(label, FiniteAbelianGroup(factors))
+
+@pytest.mark.parametrize("label", sorted(SYSTEMS))
+def test_system_on_group_rejects_a_group_the_system_cannot_live_on(label):
+    for factors in _WRONG_GROUPS[label]:
+        group = FiniteAbelianGroup(factors)
+        with pytest.raises(ValueError):
+            system_on_group(label, group)
+        with pytest.raises(ValueError):
+            SYSTEMS[label](group)
+
+
+def test_system_on_group_rejects_an_unknown_label():
+    with pytest.raises(ValueError, match="unknown system label"):
+        system_on_group("mystery", FiniteAbelianGroup((4,)))
+
+
+def test_stream_codes_are_distinct():
+    # the codec maps a stream's code back to its label; a repeated code would lose one
+    assert len({cls.code for cls in SYSTEMS.values()}) == len(SYSTEMS)
