@@ -1,22 +1,14 @@
-"""Bit-level stream I/O for the descriptor format.
+"""Bit-level stream I/O for the bit-packed body of the descriptor format.
 
 Bits are written MSB-first and held as numpy arrays of 0/1 bytes, packed and
 unpacked with ``np.packbits``/``np.unpackbits``.  Integers use either fixed
-widths, unsigned LEB128-style varints (7 payload bits per byte-sized chunk),
-or a self-delimiting signed code: a unary width prefix (width-1 ones then a
-zero) followed by a minimal-width two's-complement payload, 2 * width bits in
-all.  Each value has exactly one code: the reader rejects varints with a
-redundant continuation byte and signed codes wider than their value needs.
-
-The scalar methods write and read the descriptor header; the array methods
-write and read a whole array of fixed-width or signed codes in a few
-vectorized passes, which is how the descriptor body is coded.  A scalar call
-is the one-element case of the array method, so each code has one
-implementation.  Array values are at most 64 bits wide.
+widths or a self-delimiting signed code: a unary width prefix (width-1 ones
+then a zero) followed by a minimal-width two's-complement payload, 2 * width
+bits in all.  Each value has exactly one code: the reader rejects signed
+codes wider than their value needs.  Whole arrays of codes are written and
+read in a few vectorized passes; values are at most 64 bits wide.
 """
 from __future__ import annotations
-
-import struct
 
 import numpy as np
 
@@ -46,20 +38,6 @@ def signed_widths(values) -> np.ndarray:
 class BitWriter:
     def __init__(self):
         self._chunks: list[np.ndarray] = []
-        self._length = 0
-
-    @property
-    def bit_length(self) -> int:
-        return self._length
-
-    def _append(self, bits: np.ndarray) -> None:
-        self._chunks.append(bits)
-        self._length += bits.size
-
-    def write(self, value: int, nbits: int) -> None:
-        if value < 0 or not value.bit_length() <= nbits <= _WORD:
-            raise ValueError(f"cannot write {value} in {nbits} bits")
-        self.write_fixed_array(np.array([value], dtype=np.uint64), nbits)
 
     def write_fixed_array(self, values, nbits: int) -> None:
         """Each value in nbits bits, MSB first."""
@@ -69,26 +47,7 @@ class BitWriter:
         if values.size and (values.min() < 0 or (nbits < _WORD and values.max() >> nbits)):
             raise ValueError(f"cannot write values outside [0, 2^{nbits}) in {nbits} bits")
         words = np.ascontiguousarray(values, dtype=">u8").view(np.uint8).reshape(-1, 8)
-        self._append(np.unpackbits(words, axis=1)[:, _WORD - nbits :].reshape(-1))
-
-    def write_bytes(self, data: bytes) -> None:
-        self._append(np.unpackbits(np.frombuffer(data, dtype=np.uint8)))
-
-    def write_varint(self, value: int) -> None:
-        if value < 0:
-            raise ValueError("varint is unsigned")
-        while True:
-            chunk = value & 0x7F
-            value >>= 7
-            self.write((0x80 | chunk) if value else chunk, 8)
-            if not value:
-                break
-
-    def write_float64(self, value: float) -> None:
-        self.write_bytes(struct.pack(">d", value))
-
-    def write_signed(self, value: int) -> None:
-        self.write_signed_array(np.array([value], dtype=np.int64))
+        self._chunks.append(np.unpackbits(words, axis=1)[:, _WORD - nbits :].reshape(-1))
 
     def write_signed_array(self, values) -> None:
         """Signed codes of all values, back to back."""
@@ -104,7 +63,7 @@ class BitWriter:
         distance = np.repeat(ends - 1, length) - np.arange(int(ends[-1]))
         bit_width = np.repeat(width, length)
         payload = (np.repeat(v, length) >> np.minimum(distance, _WORD - 1)) & 1
-        self._append(np.where(distance < bit_width, payload, distance > bit_width).astype(np.uint8))
+        self._chunks.append(np.where(distance < bit_width, payload, distance > bit_width).astype(np.uint8))
 
     def to_bytes(self) -> bytes:
         if not self._chunks:
@@ -117,19 +76,12 @@ class BitReader:
         self._bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
         self._pos = 0
 
-    @property
-    def bits_read(self) -> int:
-        return self._pos
-
     def _take(self, nbits: int) -> np.ndarray:
         if nbits > self._bits.size - self._pos:
             raise MalformedStreamError("stream truncated")
         bits = self._bits[self._pos : self._pos + nbits]
         self._pos += nbits
         return bits
-
-    def read(self, nbits: int) -> int:
-        return int(self.read_fixed_array(1, nbits)[0])
 
     def read_fixed_array(self, count: int, nbits: int) -> np.ndarray:
         """count values of nbits bits each, as uint64."""
@@ -139,29 +91,6 @@ class BitReader:
         words = np.zeros((count, _WORD), dtype=np.uint8)
         words[:, _WORD - nbits :] = bits
         return np.packbits(words, axis=1).view(">u8").reshape(-1).astype(np.uint64)
-
-    def read_bytes(self, n: int) -> bytes:
-        return np.packbits(self._take(8 * n)).tobytes()
-
-    def read_varint(self) -> int:
-        value = 0
-        shift = 0
-        while True:
-            byte = self.read(8)
-            value |= (byte & 0x7F) << shift
-            if not byte & 0x80:
-                if byte == 0 and shift:
-                    raise MalformedStreamError("non-canonical varint: redundant continuation byte")
-                return value
-            shift += 7
-            if shift > 63:
-                raise MalformedStreamError("varint too long")
-
-    def read_float64(self) -> float:
-        return struct.unpack(">d", self.read_bytes(8))[0]
-
-    def read_signed(self) -> int:
-        return int(self.read_signed_array(1)[0])
 
     def read_signed_array(self, count: int) -> np.ndarray:
         """count signed codes, as int64."""

@@ -46,17 +46,7 @@ def _write(text: str, out: str | None) -> None:
 
 
 def _emit(payload: dict, out: str | None) -> None:
-    _write(json.dumps(payload, indent=2, sort_keys=True, default=_jsonify), out)
-
-
-def _jsonify(obj):
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"cannot serialize {type(obj)}")
+    _write(json.dumps(payload, indent=2, sort_keys=True), out)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:

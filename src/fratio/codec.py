@@ -7,17 +7,22 @@ self-delimiting bitstream.  Truncation contributes at most eps/4 and
 quantization at most eps/2 of the signal norm, so the decoded signal is within
 eps * ||f||_2 of the original.
 
-Stream layout: magic "FRRD", version byte, factor count + factors (varints),
-system label byte, k (varint), float64 ||c||_2, float64 eps, k support indices
-at ceil(log2 M) fixed bits each, then k (re, im) signed self-delimiting pairs,
-then zero bits up to the next byte boundary.  The decoder rejects domains of
-more than MAX_DOMAIN_SIZE points, non-finite floats, nonzero padding,
-trailing bytes and non-minimal varints and signed codes, so every accepted
-stream is the serialization of the descriptor it decodes to.
+Stream layout: a byte header, then a bit-packed body.  The header is the
+magic "FRRD", a version byte, the factor count and factors (unsigned LEB128
+varints), the system code byte, k (varint), and big-endian float64 ||c||_2
+and eps.  The body is k support indices at ceil(log2 M) fixed bits each, then
+k (re, im) pairs of signed self-delimiting codes (``bitio``), then zero bits
+up to the next byte boundary.  The decoder rejects domains of more than
+MAX_DOMAIN_SIZE points, non-finite floats, nonzero padding, trailing bytes
+and non-minimal varints and signed codes, so every accepted stream is the
+serialization of the descriptor it decodes to; the encoder refuses to write
+what the decoder would refuse.  The bit account counts the body in closed
+form and builds the header bytes, so rd_encode serializes nothing.
 """
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,8 +35,6 @@ from .systems import SYSTEMS, OrthonormalSystem, system_on_group
 MAGIC = b"FRRD"
 VERSION = 1
 _CODE_LABELS = {cls.code: label for label, cls in SYSTEMS.items()}
-# bits of the header fields of fixed size: magic, version, label, two float64
-_FIXED_HEADER_BITS = 8 * len(MAGIC) + 8 + 8 + 2 * 64
 
 
 @dataclass(frozen=True)
@@ -58,67 +61,91 @@ class Descriptor:
         return self.eps / (4.0 * math.sqrt(self.k)) * self.coeff_l2
 
     def serialize(self) -> bytes:
-        writer = BitWriter()
-        self._write(writer)
-        return writer.to_bytes()
+        header = self._header()
+        body = BitWriter()
+        body.write_fixed_array(self.support, _index_bits(self.group.size))
+        body.write_signed_array(np.column_stack((self.q_re, self.q_im)))
+        return header + body.to_bytes()
 
-    def _write(self, writer: BitWriter) -> None:
-        check_domain_size(self.factors)  # no stream the decoder would refuse
-        # _header_bits counts these fields; keep the two in step
-        writer.write_bytes(MAGIC)
-        writer.write(VERSION, 8)
-        writer.write_varint(len(self.factors))
-        for n in self.factors:
-            writer.write_varint(n)
-        writer.write(SYSTEMS[self.label].code, 8)
-        writer.write_varint(self.k)
-        writer.write_float64(self.coeff_l2)
-        writer.write_float64(self.eps)
-        writer.write_fixed_array(self.support, _index_bits(self.group.size))
-        writer.write_signed_array(np.column_stack((self.q_re, self.q_im)))
+    def _header(self) -> bytes:
+        """The byte-aligned fields before the body; ValueError on a domain above the cap or a
+        non-finite float, which the decoder would refuse."""
+        check_domain_size(self.factors)
+        if not (math.isfinite(self.coeff_l2) and math.isfinite(self.eps)):
+            raise ValueError("non-finite coefficient norm or eps")
+        varints = b"".join(map(_varint, (len(self.factors), *self.factors)))
+        code = bytes([SYSTEMS[self.label].code])
+        return MAGIC + bytes([VERSION]) + varints + code + _varint(self.k) + struct.pack(">dd", self.coeff_l2, self.eps)
 
     @classmethod
     def deserialize(cls, data: bytes) -> "Descriptor":
-        reader = BitReader(data)
-        if reader.read_bytes(4) != MAGIC:
+        head = _ByteCursor(data)
+        if head.take(4) != MAGIC:
             raise MalformedStreamError("bad magic")
-        version = reader.read(8)
+        version = head.take(1)[0]
         if version != VERSION:
             raise MalformedStreamError(f"unsupported version {version}")
-        count = reader.read_varint()
+        count = head.varint()
         if count == 0:
             raise MalformedStreamError("empty factor list")
-        factors = tuple(reader.read_varint() for _ in range(count))
+        factors = tuple(head.varint() for _ in range(count))
         if any(n < 1 for n in factors):
             raise MalformedStreamError("invalid cyclic factor")
         check_domain_size(factors, MalformedStreamError)
         group = FiniteAbelianGroup(factors)
-        label_code = reader.read(8)
+        label_code = head.take(1)[0]
         if label_code not in _CODE_LABELS:
             raise MalformedStreamError(f"unknown system code {label_code}")
         label = _CODE_LABELS[label_code]
-        k = reader.read_varint()
-        coeff_l2 = reader.read_float64()
-        eps = reader.read_float64()
+        k = head.varint()
+        coeff_l2, eps = struct.unpack(">dd", head.take(16))
         if not (math.isfinite(coeff_l2) and math.isfinite(eps)):
             raise MalformedStreamError("non-finite coefficient norm or eps")
         if k > group.size:
             raise MalformedStreamError("support larger than the domain")
-        support = reader.read_fixed_array(k, _index_bits(group.size))
+        body = BitReader(data[head.pos :])
+        support = body.read_fixed_array(k, _index_bits(group.size))
         if np.any(support >= group.size):
             raise MalformedStreamError("support index out of range")
-        q_re, q_im = reader.read_signed_array(2 * k).reshape(k, 2).T.copy()
-        reader.check_end()
-        return cls(
-            factors=factors,
-            label=label,
-            k=k,
-            coeff_l2=coeff_l2,
-            eps=eps,
-            support=support.astype(np.int64),
-            q_re=q_re,
-            q_im=q_im,
-        )
+        q_re, q_im = body.read_signed_array(2 * k).reshape(k, 2).T.copy()
+        body.check_end()
+        return cls(factors, label, k, coeff_l2, eps, support.astype(np.int64), q_re, q_im)
+
+
+def _varint(value: int) -> bytes:
+    """Unsigned LEB128: 7 bits per byte, low bits first, the high bit set on all but the last byte."""
+    out = []
+    while value > 0x7F:
+        out.append(0x80 | value & 0x7F)
+        value >>= 7
+    return bytes([*out, value])
+
+
+class _ByteCursor:
+    """Reads the header fields off the front of a stream."""
+
+    def __init__(self, data: bytes):
+        self.data = data
+        self.pos = 0
+
+    def take(self, n: int) -> bytes:
+        if n > len(self.data) - self.pos:
+            raise MalformedStreamError("stream truncated")
+        self.pos += n
+        return self.data[self.pos - n : self.pos]
+
+    def varint(self) -> int:
+        value = shift = 0
+        while True:
+            byte = self.take(1)[0]
+            value |= (byte & 0x7F) << shift
+            if not byte & 0x80:
+                if byte == 0 and shift:
+                    raise MalformedStreamError("non-canonical varint: redundant continuation byte")
+                return value
+            shift += 7
+            if shift > 63:
+                raise MalformedStreamError("varint too long")
 
 
 @dataclass(frozen=True)
@@ -132,16 +159,6 @@ class BitAccount:
 
 def _index_bits(M: int) -> int:
     return max(0, (M - 1).bit_length())
-
-
-def _varint_bits(value: int) -> int:
-    return 8 * max(1, -(-value.bit_length() // 7))
-
-
-def _header_bits(d: Descriptor) -> int:
-    """Bits Descriptor._write spends before the support indices."""
-    varints = (len(d.factors), *d.factors, d.k)
-    return _FIXED_HEADER_BITS + sum(_varint_bits(v) for v in varints)
 
 
 def _quantize_toward_zero(values: np.ndarray, delta: float) -> np.ndarray:
@@ -182,10 +199,10 @@ def rd_encode(system: OrthonormalSystem, f: Signal, eps: float) -> tuple[Descrip
 
 
 def _account(d: Descriptor, r: float) -> BitAccount:
-    """Exact bit counts of d's stream, in closed form; header_bits includes the padding."""
+    """Exact bit counts of d's stream, with the body in closed form; header_bits includes the padding."""
     support_bits = d.k * _index_bits(d.group.size)
     coefficient_bits = 2 * int(signed_widths(d.q_re).sum() + signed_widths(d.q_im).sum())
-    total = 8 * -(-(_header_bits(d) + support_bits + coefficient_bits) // 8)
+    total = 8 * len(d._header()) + 8 * -(-(support_bits + coefficient_bits) // 8)
     header_bits = total - support_bits - coefficient_bits
     # the two-term bound needs M >= 2; a one-point domain has no bound terms
     M = d.group.size

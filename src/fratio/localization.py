@@ -9,7 +9,8 @@ Both readings and the slice transforms come from ``CharacterSystem``: the
 slice transforms are one stacked transform on H of the (|K|, |H|) slice array,
 the row-wise transform is that array read in G order, and the full reading is
 the transform on G.  The slices' l1 and l2 norms are stacked reductions; no
-Python code runs per slice.
+Python code runs per slice, but for a nonzero slice so much smaller than the
+signal that its squares underflow, whose ratio is taken on its own scale.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import FiniteAbelianGroup, Signal
-from .ratio import fourier_ratio
+from .ratio import _accurate_l2, _unit_scaled, fourier_ratio
 from .systems import make_dft
 
 
@@ -70,11 +71,6 @@ def slice_transforms(f: Signal, d: ProductDecomposition) -> np.ndarray:
     return make_dft(d.h_group)._analyze_array(slice_signal(f, d))
 
 
-def _rowwise_transform(f: Signal, d: ProductDecomposition) -> np.ndarray:
-    """The transform of f in the H variables only, in G order."""
-    return slice_transforms(f, d).T.reshape(-1)
-
-
 @dataclass(frozen=True)
 class LocalizationReport:
     max_slice_fr: float
@@ -99,10 +95,13 @@ def localization_check(
     row-delta family.  Identically-zero slices are skipped; their ratio is
     undefined and they can never be the maximizer.
     """
-    if not np.isfinite(f.values).all():
+    peak = np.abs(f.values.view(np.float64)).max()
+    if not np.isfinite(peak):
         raise ValueError("localization check needs a finite signal")
-    if not f.is_nonzero:
+    if peak == 0.0:
         raise ValueError("localization check needs a nonzero signal")
+    if not 2.0**-400 <= peak <= 2.0**400:  # the same ratios, with no transform overflowing or underflowing
+        f = Signal(f.group, _unit_scaled(f.values))
     hats = slice_transforms(f, d)
     if transform == "full":
         global_fr = fourier_ratio(make_dft(f.group)._analyze_array(f.values))
@@ -116,9 +115,12 @@ def localization_check(
     l1s = np.abs(hats).sum(axis=1)
     re, im = hats.real, hats.imag
     l2s = np.sqrt(np.matmul(re[:, None, :], re[:, :, None]) + np.matmul(im[:, None, :], im[:, :, None]))[:, 0, 0]
-    # as in a strict > scan: a zero slice is skipped, one whose transform
-    # overflowed (l1 inf or NaN) never wins, and the first maximum does
-    ratios = np.divide(l1s, l2s, out=np.full(d.k_size, -np.inf), where=(l2s > 0.0) & (l1s < np.inf))
+    accurate = _accurate_l2(l2s)
+    # as in a strict > scan: a zero slice is skipped and the first maximum
+    # wins; the slice holding the largest value of f is never zero
+    ratios = np.divide(l1s, l2s, out=np.full(d.k_size, -np.inf), where=accurate)
+    for k in np.flatnonzero(~accurate & (l1s > 0.0)):  # a slice far smaller than f: its squares underflow
+        ratios[k] = fourier_ratio(hats[k])
     achieving_k = int(np.argmax(ratios))
     max_slice_fr = ratios[achieving_k]
     lower_bound = global_fr / np.sqrt(d.k_size)
@@ -128,7 +130,7 @@ def localization_check(
         global_fr=float(global_fr),
         lower_bound=float(lower_bound),
         holds=bool(holds),
-        achieving_k=achieving_k if max_slice_fr > -np.inf else -1,
+        achieving_k=achieving_k,
         transform=transform,
-        skipped_zero_slices=int(np.count_nonzero(l2s == 0.0)),
+        skipped_zero_slices=int(np.count_nonzero(l1s == 0.0)),
     )

@@ -15,10 +15,29 @@ def _entries(c) -> np.ndarray:
     return np.asarray(c, dtype=np.complex128).reshape(-1)
 
 
+def _unit_scaled(v: np.ndarray) -> np.ndarray:
+    """Complex v times the power of two that puts its largest real or imaginary part in [1/2, 1).
+
+    The scale is exact, and the l1/l2 ratio does not depend on it.
+    """
+    parts = np.ascontiguousarray(v).view(np.float64)
+    return np.ldexp(parts, -np.frexp(np.abs(parts).max(initial=0.0))[1]).view(np.complex128)
+
+
+def _accurate_l2(l2):
+    """Whether an l2 norm of this size is accurate: its sum of squares did not
+    overflow, and on up to 2^24 entries what underflowed in it is below 2^-90 of it."""
+    return (2.0**-480 < l2) & (l2 < 2.0**480)
+
+
 def fourier_ratio(c) -> float:
     """||c||_1 / ||c||_2; lies in [1, sqrt(nnz(c))].  Undefined (raises) for c = 0."""
     v = _entries(c)
-    l2 = float(np.linalg.norm(v))
+    with np.errstate(over="ignore"):
+        l2 = float(np.linalg.norm(v))
+    if not _accurate_l2(l2):  # huge or tiny c: the same ratio, from an exactly rescaled copy
+        v = _unit_scaled(v)
+        l2 = float(np.linalg.norm(v))
     if l2 == 0.0:
         raise ValueError("ratio undefined for the zero vector")
     return float(np.sum(np.abs(v))) / l2

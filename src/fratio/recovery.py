@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy.stats import binom
 
 from .groups import FiniteAbelianGroup, Signal
 from .ratio import check_bound_args
@@ -406,6 +405,8 @@ def erasure_row_statistics(
         raise ValueError(f"loss probability must satisfy 0 < theta < 1/(2*E_max) = {1.0 / (2 * E_max)}")
     if N < 1 or T < 1 or trials < 1:
         raise ValueError("N, T, trials must be >= 1")
+    from scipy.stats import binom  # here, not at the top: slow to import, and only this function needs it
+
     threshold = N / (2.0 * E_max)
     per_row = float(binom.cdf(math.ceil(threshold) - 1, N, theta))
     exact = per_row**T

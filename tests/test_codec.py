@@ -14,43 +14,12 @@ from fratio import (
     rd_decode,
     rd_encode,
 )
-from fratio.bitio import BitReader, BitWriter, MalformedStreamError
+from fratio.bitio import MalformedStreamError
 from fratio.codec import Descriptor
 from fratio.harness import derive_seed
 from fratio.signals import harmonic_signal, sparse_signal
 
 from conftest import complex_gaussian
-
-
-class TestBitIO:
-    def test_fixed_width_roundtrip(self):
-        w = BitWriter()
-        w.write(5, 3)
-        w.write(0, 2)
-        w.write(255, 8)
-        r = BitReader(w.to_bytes())
-        assert [r.read(3), r.read(2), r.read(8)] == [5, 0, 255]
-
-    @pytest.mark.parametrize("value", [0, 1, 127, 128, 300, 2**40])
-    def test_varint_roundtrip(self, value):
-        w = BitWriter()
-        w.write_varint(value)
-        assert BitReader(w.to_bytes()).read_varint() == value
-
-    @pytest.mark.parametrize("value", [0, 1, -1, 2, -2, 63, -64, 1000, -1000, 2**30, -(2**30)])
-    def test_signed_roundtrip(self, value):
-        w = BitWriter()
-        w.write_signed(value)
-        assert BitReader(w.to_bytes()).read_signed() == value
-
-    def test_float_roundtrip(self):
-        w = BitWriter()
-        w.write_float64(math.pi)
-        assert BitReader(w.to_bytes()).read_float64() == math.pi
-
-    def test_truncation_raises(self):
-        with pytest.raises(MalformedStreamError):
-            BitReader(b"").read(1)
 
 
 class TestCodecRoundtrip:
@@ -151,11 +120,15 @@ class TestCodecRoundtrip:
         decoded = rd_decode(descriptor.serialize())
         assert decoded.l2 == 0.0
 
-    def test_truncated_stream_rejected(self):
+    @pytest.mark.parametrize("where", ["magic", "factor", "floats", "support", "middle", "last byte"])
+    def test_truncated_stream_rejected(self, where):
         system = make_dft(FiniteAbelianGroup((32,)))
-        blob = rd_encode(system, complex_gaussian(system.group, 1), 0.2)[0].serialize()
-        with pytest.raises(MalformedStreamError):
-            rd_decode(blob[: len(blob) // 2])
+        d = rd_encode(system, complex_gaussian(system.group, 1), 0.2)[0]
+        blob = d.serialize()
+        header = len(d._header())
+        cut = {"magic": 2, "factor": 6, "floats": header - 1, "support": header + 1, "middle": len(blob) // 2}
+        with pytest.raises(MalformedStreamError, match="truncated"):
+            rd_decode(blob[: cut.get(where, len(blob) - 1)])
 
     def test_bad_magic_and_version(self):
         system = make_dft(FiniteAbelianGroup((8,)))

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from fratio import Signal, parse_system
 from fratio.bitio import BitReader, BitWriter, MalformedStreamError, signed_widths
-from fratio.codec import MAGIC, VERSION, Descriptor, _account, rd_decode, rd_encode
+from fratio.codec import MAGIC, VERSION, Descriptor, _account, _ByteCursor, _varint, rd_decode, rd_encode
 from fratio.groups import MAX_DOMAIN_SIZE
 from fratio.signals import generate_signal
 
@@ -54,18 +54,11 @@ def _encode(case):
     return rd_encode(system, f, spec["eps"])
 
 
-def _header(factors, label_code=0, k=0, coeff_l2=1.0, eps=0.2) -> BitWriter:
-    w = BitWriter()
-    w.write_bytes(MAGIC)
-    w.write(VERSION, 8)
-    w.write_varint(len(factors))
+def _header(factors, label_code=0, k=0, coeff_l2=1.0, eps=0.2) -> "_Bits":
+    w = _Bits().bytes(MAGIC).fixed(VERSION, 8).varint(len(factors))
     for n in factors:
-        w.write_varint(n)
-    w.write(label_code, 8)
-    w.write_varint(k)
-    w.write_float64(coeff_l2)
-    w.write_float64(eps)
-    return w
+        w.varint(n)
+    return w.fixed(label_code, 8).varint(k).float64(coeff_l2).float64(eps)
 
 
 class TestPinnedStreams:
@@ -98,9 +91,48 @@ def _reference_signed_bits(v: int) -> str:
     return "1" * (width - 1) + "0" + format(v & ((1 << width) - 1), f"0{width}b")
 
 
-def _stream_bits(writer: BitWriter) -> str:
-    bits = np.unpackbits(np.frombuffer(writer.to_bytes(), dtype=np.uint8))[: writer.bit_length]
-    return "".join(map(str, bits))
+class _Bits:
+    """Stream fields as a bit string, each written from the format's definition.
+
+    Hostile and hand-coded streams are built here rather than with the
+    library's writer, so the tests check the codec against an independent
+    oracle.  ``to_bytes`` pads with zero bits to a byte boundary.
+    """
+
+    def __init__(self):
+        self.bits = ""
+
+    def raw(self, bits: str) -> "_Bits":
+        self.bits += bits
+        return self
+
+    def fixed(self, value: int, nbits: int) -> "_Bits":
+        assert 0 <= value < 2**nbits
+        return self.raw(format(value, f"0{nbits}b") if nbits else "")
+
+    def bytes(self, data: bytes) -> "_Bits":
+        return self.raw("".join(format(b, "08b") for b in data))
+
+    def varint(self, value: int) -> "_Bits":
+        # 7-bit groups, low first; every byte but the last has its high bit set
+        groups = [(value >> shift) & 0x7F for shift in range(0, max(1, value.bit_length()), 7)]
+        return self.bytes(bytes([0x80 | g for g in groups[:-1]] + groups[-1:]))
+
+    def float64(self, value: float) -> "_Bits":
+        return self.bytes(struct.pack(">d", value))
+
+    def signed(self, value: int) -> "_Bits":
+        return self.raw(_reference_signed_bits(value))
+
+    def to_bytes(self) -> bytes:
+        padded = self.bits + "0" * (-len(self.bits) % 8)
+        return int(padded or "0", 2).to_bytes(len(padded) // 8, "big")
+
+
+def _marked(writer: BitWriter) -> bytes:
+    """writer's stream with a closing 1 bit, so equal bytes mean equal bit lengths too."""
+    writer.write_fixed_array(np.array([1]), 1)
+    return writer.to_bytes()
 
 
 class TestArrayBitIO:
@@ -108,17 +140,21 @@ class TestArrayBitIO:
         values = np.array([0, 1, 5, 1023, 512, 77], dtype=np.int64)
         w = BitWriter()
         w.write_fixed_array(values, 10)
-        assert _stream_bits(w) == "".join(format(int(v), "010b") for v in values)
+        reference = _Bits()
+        for v in values:
+            reference.fixed(int(v), 10)
+        assert _marked(w) == reference.raw("1").to_bytes()
         assert np.array_equal(BitReader(w.to_bytes()).read_fixed_array(6, 10), values)
 
     def test_signed_array_matches_reference_code(self):
         rng = np.random.default_rng(5)
         values = rng.integers(-(2**63), 2**63 - 1, size=3000, dtype=np.int64) >> rng.integers(0, 64, size=3000)
         values[:8] = [0, -1, 1, 2**62, -(2**62) - 1, 2**63 - 1, -(2**63), 2**53 + 1]
+        values[8:19] = [0, 1, -1, 2, -2, 63, -64, 1000, -1000, 2**30, -(2**30)]
         reference = [_reference_signed_bits(int(v)) for v in values]
         w = BitWriter()
         w.write_signed_array(values)
-        assert _stream_bits(w) == "".join(reference)
+        assert _marked(w) == _Bits().raw("".join(reference) + "1").to_bytes()
         assert np.array_equal(2 * signed_widths(values), [len(code) for code in reference])
         assert np.array_equal(BitReader(w.to_bytes()).read_signed_array(values.size), values)
 
@@ -166,6 +202,10 @@ class TestHostileStreams:
         blob = _header((8,), **{field: value}).to_bytes()
         with pytest.raises(MalformedStreamError):
             Descriptor.deserialize(blob)
+        empty = np.array([], dtype=np.int64)
+        d = Descriptor((8,), "dft", 0, **{"coeff_l2": 1.0, "eps": 0.2, field: value}, support=empty, q_re=empty, q_im=empty)
+        with pytest.raises(ValueError, match="non-finite"):
+            d.serialize()
 
     @pytest.mark.parametrize("label_code,factors", [(1, (2, 3)), (2, (8,)), (3, (4, 4)), (3, (6,))])
     def test_label_that_cannot_live_on_the_group_is_malformed(self, label_code, factors):
@@ -183,9 +223,8 @@ class TestHostileStreams:
         padded = 0
         for case in PINNED:
             blob = bytes.fromhex(case["stream"])
-            writer = BitWriter()
-            Descriptor.deserialize(blob)._write(writer)
-            pad = 8 * len(blob) - writer.bit_length
+            d = Descriptor.deserialize(blob)
+            pad = _account(d, r=1.0).header_bits - 8 * len(d._header())
             if pad == 0:
                 continue
             padded += 1
@@ -262,28 +301,22 @@ def test_accepted_streams_are_canonical(data):
 
 def _one_term_dft4(factor_bytes: bytes | None = None, k_bytes: bytes | None = None, q_re_code=None) -> bytes:
     """A one-term dft:4 descriptor (support [2], q = 1 + 0i), with optional hand-coded fields."""
-    w = BitWriter()
-    w.write_bytes(MAGIC)
-    w.write(VERSION, 8)
-    w.write_varint(1)
+    w = _Bits().bytes(MAGIC).fixed(VERSION, 8).varint(1)
     if factor_bytes is None:
-        w.write_varint(4)
+        w.varint(4)
     else:
-        w.write_bytes(factor_bytes)
-    w.write(0, 8)
+        w.bytes(factor_bytes)
+    w.fixed(0, 8)
     if k_bytes is None:
-        w.write_varint(1)
+        w.varint(1)
     else:
-        w.write_bytes(k_bytes)
-    w.write_float64(1.0)
-    w.write_float64(0.2)
-    w.write(2, 2)
+        w.bytes(k_bytes)
+    w.float64(1.0).float64(0.2).fixed(2, 2)
     if q_re_code is None:
-        w.write_signed(1)
+        w.signed(1)
     else:
-        w.write(*q_re_code)
-    w.write_signed(0)
-    return w.to_bytes()
+        w.fixed(*q_re_code)
+    return w.signed(0).to_bytes()
 
 
 class TestCanonicalStreams:
@@ -300,10 +333,9 @@ class TestCanonicalStreams:
             Descriptor.deserialize(_one_term_dft4(q_re_code=code))
 
     def test_signed_reader_rejects_non_minimal_code(self):
-        w = BitWriter()
-        w.write(0b1000, 4)  # 0 in width 2
+        blob = _Bits().raw("1000").to_bytes()  # 0 in width 2
         with pytest.raises(MalformedStreamError):
-            BitReader(w.to_bytes()).read_signed_array(1)
+            BitReader(blob).read_signed_array(1)
 
     @pytest.mark.parametrize("field", ["factor", "k"])
     @pytest.mark.parametrize("redundant", [b"\x80\x00", b"\x81\x80\x00"])
@@ -312,6 +344,13 @@ class TestCanonicalStreams:
         coded = bytes([redundant[0] | value]) + redundant[1:]
         with pytest.raises(MalformedStreamError, match="varint"):
             Descriptor.deserialize(_one_term_dft4(**{f"{field}_bytes": coded}))
+
+    @pytest.mark.parametrize("value", [0, 1, 127, 128, 300, 2**40])
+    def test_varint_matches_reference_code(self, value):
+        coded = _varint(value)
+        assert coded == _Bits().varint(value).to_bytes()
+        head = _ByteCursor(coded)
+        assert (head.varint(), head.pos) == (value, len(coded))
 
     def test_multi_byte_varints_still_decode(self):
         blob = _header((300, 2)).to_bytes()

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from fratio import FiniteAbelianGroup, ProductDecomposition, Signal, localization_check
-from fratio.localization import LocalizationReport, _rowwise_transform, slice_transforms
+from fratio.localization import LocalizationReport, slice_transforms
 from fratio.systems import make_dft
 
 SHAPES = [(4, 3, 5), (8, 8, 64), (256, 16), (64, 64), (8, 4), (6, 4), (2, 2, 3, 2), (5, 4), (7, 9, 3), (16, 16, 16), (3, 1, 5)]
@@ -94,7 +94,7 @@ def test_transforms_equal_fftn_byte_for_byte(shape, split):
         f = Signal(group, values)
         shaped = f.values.reshape(shape)
         rowwise = np.fft.fftn(shaped, axes=tuple(range(split)), norm="ortho").reshape(-1)
-        assert _rowwise_transform(f, d).tobytes() == rowwise.tobytes(), name
+        assert slice_transforms(f, d).T.reshape(-1).tobytes() == rowwise.tobytes(), name
         assert slice_transforms(f, d).tobytes() == rowwise.reshape(d.h_size, d.k_size).T.tobytes(), name
         full = make_dft(group)._analyze_array(f.values)
         assert full.tobytes() == np.fft.fftn(shaped, norm="ortho").reshape(-1).tobytes(), name
@@ -123,32 +123,71 @@ def test_equal_slices_report_the_first():
         assert _fields(report) == _fields(_reference_check(f, d, transform))
 
 
-def test_slices_whose_squares_underflow_are_skipped():
+def test_slices_whose_squares_would_underflow_are_measured():
     # f = x on every slice's h = 0: each slice transform has entries x/2,
-    # whose squares underflow, so every slice has l2 = 0 and none achieves
-    # the maximum; the full transform keeps entries of modulus x
+    # whose squares underflow unscaled; the check scales f by a power of two
+    # first, so it reports exactly what it reports on 2^540 f
     group = FiniteAbelianGroup((4, 4))
     d = ProductDecomposition(group, 1)
     values = np.zeros((4, 4))
     values[0, :] = 2.3e-162
     f = Signal(group, values.reshape(-1))
-    report = localization_check(f, d, transform="full")
-    assert (report.achieving_k, report.skipped_zero_slices, report.max_slice_fr) == (-1, 4, -np.inf)
-    assert _fields(report) == _fields(_reference_check(f, d, "full"))
-    with pytest.raises(ValueError):
-        localization_check(f, d, transform="rowwise")
+    for transform in ("rowwise", "full"):
+        report = localization_check(f, d, transform=transform)
+        assert (report.achieving_k, report.skipped_zero_slices, report.holds) == (0, 0, True)
+        assert report.max_slice_fr == pytest.approx(2.0, rel=1e-15)
+        assert _fields(report) == _fields(_reference_check(Signal(group, f.values * 2.0**540), d, transform))
 
 
-def test_overflowed_slices_never_achieve_the_maximum():
+def test_slices_whose_transforms_would_overflow_are_measured():
     group = FiniteAbelianGroup((4, 3))
     d = ProductDecomposition(group, 1)
     values = np.zeros((4, 3))
-    values[0, 0] = 1.7e308  # finite transform entries, but l1 = l2 = inf
-    values[:, 1] = 1e308  # the transform itself overflows, to inf and NaN
-    values[:, 2] = np.arange(1.0, 5.0)
+    values[0, 0] = 1.7e308  # unscaled: finite transform entries, but l1 = l2 = inf
+    values[:, 1] = 1e308  # unscaled: the transform itself overflows, to inf and NaN
+    values[:, 2] = np.arange(1.0, 5.0)  # subnormal once f is scaled, but not a zero slice
     f = Signal(group, values.reshape(-1))
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="raise", invalid="raise"):
         for transform in ("rowwise", "full"):
             report = localization_check(f, d, transform=transform)
-            assert report.achieving_k == 2
-            assert _fields(report) == _fields(_reference_check(f, d, transform))
+            assert (report.achieving_k, report.max_slice_fr, report.skipped_zero_slices, report.holds) == (0, 2.0, 0, True)
+            # the reference counts the subnormal slice as zero, as the check did before it scaled each slice
+            expected = _reference_check(Signal(group, f.values * 2.0**-1024), d, transform)
+            assert _fields(report) == _fields(expected) | {"skipped_zero_slices": 0}
+
+
+@pytest.mark.parametrize("x", [1e-160, 1e-170, 1e-300])
+def test_a_slice_far_smaller_than_the_signal_is_measured(x):
+    # slice 0 is a character (ratio 1); slice 1 is x on one point (ratio
+    # sqrt 8), with squares that underflow next to slice 0's scale
+    group = FiniteAbelianGroup((8, 2))
+    d = ProductDecomposition(group, 1)
+    values = np.zeros((8, 2), dtype=np.complex128)
+    values[:, 0] = np.exp(2j * np.pi * 3 * np.arange(8) / 8)
+    values[0, 1] = x
+    report = localization_check(Signal(group, values.reshape(-1)), d)
+    assert (report.achieving_k, report.skipped_zero_slices) == (1, 0)
+    assert report.max_slice_fr == pytest.approx(np.sqrt(8), rel=1e-15)
+
+
+@pytest.mark.parametrize("alpha", [2.0**-600, 2.0**600, 1e-160, 1e160], ids=["2^-600", "2^600", "1e-160", "1e160"])
+def test_reports_do_not_depend_on_the_scale(alpha):
+    # a power of two scales every value exactly, so the report keeps its
+    # bits; other scales round each value once, which may break a tie
+    # between slices of equal ratio either way
+    exact = np.frexp(alpha)[0] == 0.5
+    for shape, split in CASES:
+        group = FiniteAbelianGroup(shape)
+        d = ProductDecomposition(group, split)
+        for name, values in _signals(group, d, seed=sum(shape) + split).items():
+            for transform in ("rowwise", "full"):
+                report = localization_check(Signal(group, alpha * values), d, transform=transform)
+                expected = localization_check(Signal(group, values), d, transform=transform)
+                if exact:
+                    assert _fields(report) == _fields(expected), (shape, split, name, transform)
+                    continue
+                for key, value in vars(expected).items():
+                    if isinstance(value, float):
+                        assert getattr(report, key) == pytest.approx(value, rel=1e-12), (shape, split, name, key)
+                    elif key != "achieving_k":
+                        assert getattr(report, key) == value, (shape, split, name, key)

@@ -32,6 +32,18 @@ class TestFourierRatio:
         assert fourier_ratio(c) == pytest.approx(expected, rel=1e-12)
         assert expected == pytest.approx(1.7460, abs=1e-4)
 
+    @pytest.mark.parametrize("alpha", [2.0**-600, 2.0**600, 1e-160, 1e160], ids=["2^-600", "2^600", "1e-160", "1e160"])
+    def test_ratio_of_huge_and_tiny_vectors(self, alpha):
+        rng = np.random.default_rng(3)
+        c = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+        if np.frexp(alpha)[0] == 0.5:  # a power of two: the same bits
+            assert fourier_ratio(alpha * c) == fourier_ratio(c)
+        else:
+            assert fourier_ratio(alpha * c) == pytest.approx(fourier_ratio(c), rel=1e-12)
+
+    def test_ratio_of_subnormal_vector(self):
+        assert fourier_ratio(np.array([5e-324, 0.0, 5e-324j])) == pytest.approx(math.sqrt(2), rel=1e-15)
+
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):
             fourier_ratio(np.zeros(4))
