@@ -4,7 +4,7 @@ l1-minimization recovery from random samples, localization checks, a
 rate-distortion descriptor codec, and a sampling estimator with covering and
 dimension bounds."""
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .groups import CoefficientVector, FiniteAbelianGroup, Signal
 from .localization import LocalizationReport, ProductDecomposition, localization_check, slice_signal

@@ -21,6 +21,7 @@ from dataclasses import asdict
 import numpy as np
 
 from .codec import rd_decode, rd_encode
+from .groups import l2_norm
 from .harness import (
     PhaseSweepConfig,
     derive_seed,
@@ -135,7 +136,7 @@ def cmd_rdcodec(args) -> None:
         }
         if args.action == "roundtrip":
             decoded = rd_decode(blob)
-            err = float(np.linalg.norm(decoded.values - f.values))
+            err = l2_norm(decoded.values - f.values)
             payload["distortion"] = err
             payload["relative_distortion"] = err / f.l2
             payload["within_budget"] = err <= args.eps * f.l2 * (1 + 1e-9)

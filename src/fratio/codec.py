@@ -29,7 +29,7 @@ import numpy as np
 
 from .bitio import BitReader, BitWriter, MalformedStreamError, signed_widths
 from .groups import FiniteAbelianGroup, Signal, check_domain_size
-from .ratio import check_bound_args, fourier_ratio, soft_sparsify
+from .ratio import check_bound_args, soft_sparsify
 from .systems import SYSTEMS, OrthonormalSystem, system_on_group
 
 MAGIC = b"FRRD"
@@ -194,7 +194,7 @@ def rd_encode(system: OrthonormalSystem, f: Signal, eps: float) -> tuple[Descrip
         q_re=q_re,
         q_im=q_im,
     )
-    account = _account(descriptor, r=fourier_ratio(c))
+    account = _account(descriptor, r=sparse.ratio)
     return descriptor, account
 
 

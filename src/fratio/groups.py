@@ -71,6 +71,36 @@ class FiniteAbelianGroup:
         return "x".join(str(n) for n in self.factors)
 
 
+def _unit_exponent(v: np.ndarray) -> int:
+    """The exponent e with complex v's largest real or imaginary part in [2^(e-1), 2^e)."""
+    return int(np.frexp(np.abs(np.ascontiguousarray(v).view(np.float64)).max(initial=0.0))[1])
+
+
+def _unit_scaled(v: np.ndarray) -> np.ndarray:
+    """Complex v times the power of two that puts its largest real or imaginary part in [1/2, 1).
+
+    The scale is exact, and the l1/l2 ratio does not depend on it.
+    """
+    parts = np.ascontiguousarray(v).view(np.float64)
+    return np.ldexp(parts, -_unit_exponent(v)).view(np.complex128)
+
+
+def _accurate_l2(l2):
+    """Whether an l2 norm of this size is accurate: its sum of squares did not
+    overflow, and on up to 2^24 entries what underflowed in it is below 2^-90 of it."""
+    return (2.0**-480 < l2) & (l2 < 2.0**480)
+
+
+def l2_norm(v: np.ndarray) -> float:
+    """The Euclidean norm of complex v, as np.linalg.norm computes it where
+    that is accurate; else that of an exactly rescaled copy, scaled back."""
+    with np.errstate(over="ignore"):
+        l2 = float(np.linalg.norm(v))
+        if _accurate_l2(l2):
+            return l2
+        return float(np.ldexp(np.linalg.norm(_unit_scaled(v)), _unit_exponent(v)))
+
+
 def _as_complex_vector(values, size: int) -> np.ndarray:
     arr = np.asarray(values, dtype=np.complex128).reshape(-1).copy()
     if arr.shape[0] != size:
@@ -95,7 +125,7 @@ class Signal:
 
     @property
     def l2(self) -> float:
-        return float(np.linalg.norm(self.values))
+        return l2_norm(self.values)
 
     @property
     def linf(self) -> float:
@@ -127,7 +157,7 @@ class CoefficientVector:
 
     @property
     def l2(self) -> float:
-        return float(np.linalg.norm(self.entries))
+        return l2_norm(self.entries)
 
     @property
     def linf(self) -> float:

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import FiniteAbelianGroup, Signal
-from .ratio import _accurate_l2, _unit_scaled, fourier_ratio
+from .groups import FiniteAbelianGroup, Signal, _accurate_l2, _unit_scaled
+from .ratio import fourier_ratio
 from .systems import make_dft
 
 

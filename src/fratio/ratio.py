@@ -6,28 +6,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import CoefficientVector
+from .groups import CoefficientVector, _accurate_l2, _unit_scaled
 
 
 def _entries(c) -> np.ndarray:
     if isinstance(c, CoefficientVector):
         return c.entries
     return np.asarray(c, dtype=np.complex128).reshape(-1)
-
-
-def _unit_scaled(v: np.ndarray) -> np.ndarray:
-    """Complex v times the power of two that puts its largest real or imaginary part in [1/2, 1).
-
-    The scale is exact, and the l1/l2 ratio does not depend on it.
-    """
-    parts = np.ascontiguousarray(v).view(np.float64)
-    return np.ldexp(parts, -np.frexp(np.abs(parts).max(initial=0.0))[1]).view(np.complex128)
-
-
-def _accurate_l2(l2):
-    """Whether an l2 norm of this size is accurate: its sum of squares did not
-    overflow, and on up to 2^24 entries what underflowed in it is below 2^-90 of it."""
-    return (2.0**-480 < l2) & (l2 < 2.0**480)
 
 
 def fourier_ratio(c) -> float:
@@ -60,6 +45,7 @@ class SparsifyResult:
     s: int
     tail_l2: float
     tail_l1: float
+    ratio: float  # FR(c), which s was derived from
 
 
 def top_indices(c, s: int) -> np.ndarray:
@@ -89,6 +75,7 @@ def soft_sparsify(c, eta: float) -> SparsifyResult:
         s=s,
         tail_l2=float(np.linalg.norm(tail)),
         tail_l1=float(np.sum(np.abs(tail))),
+        ratio=r,
     )
 
 

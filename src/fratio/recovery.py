@@ -5,7 +5,8 @@ The program solved is
     min ||c||_1   subject to   || restrict_X(synthesize(c)) - y ||_2 <= sigma.
 
 Sampling-after-synthesis is a partial isometry, so the projection onto the
-fidelity ball has a closed form and the splitting needs no inner solves.
+fidelity ball has a closed form and the splitting needs no inner solves.  On
+domains of 1024 points or more the splitting is Anderson-accelerated.
 """
 from __future__ import annotations
 
@@ -236,8 +237,89 @@ class _Stack:
     def without_stopped(self) -> "_Stack":
         keep = ~self.stopped
         z = self.current[1]
-        rest = _Stack(self.system, *(a[keep] for a in (self.rows, self.mask, self.y, self.sigma, z)))
+        rest = type(self)(self.system, *(a[keep] for a in (self.rows, self.mask, self.y, self.sigma, z)))
         rest.shrunk[...] = self.shrunk[keep]
+        return rest
+
+
+# Secant pairs an Anderson row keeps.  Fewer cost more map evaluations at
+# M = 4096: 34 % more with 5, 76 % more with 3.
+_MEMORY = 10
+_IDENTITY = np.eye(_MEMORY)
+_IDENTITY.setflags(write=False)
+_TINY = np.finfo(np.float64).tiny
+
+
+class _AndersonStack(_Stack):
+    """A stack whose next point is the type-II Anderson extrapolation of the
+    Douglas-Rachford map T (Walker & Ni 2011; Fu, Zhang & Boyd 2020).
+
+    Each step evaluates T at z as the plain stack does, with the same stop
+    rule and thresholded iterate.  A row whose residual f = T(z) - z is no
+    larger than at its last accepted point accepts z: the secant pair (change
+    in f, change in T) joins a ring of _MEMORY pairs and the next point is
+    T(z) - dG gamma, with gamma the least-squares fit of f by the dF ring.  A
+    row whose residual grew, or is not finite, goes back to the plain image T
+    of its accepted point with an empty ring, and that point stays the partner
+    of its next secant pair.  Every operation is per row, so a row runs the same steps
+    whatever else is in its stack.
+    """
+
+    def __init__(self, system: OrthonormalSystem, rows, mask, y, sigma, z):
+        super().__init__(system, rows, mask, y, sigma, z)
+        pair = np.empty((2,) + z.shape, dtype=np.complex128)
+        self.accepted = (pair[0], pair[1], _Norms(pair))  # f and T at the accepted point
+        self.accepted_residual = np.full(rows.size, np.inf)
+        self.accept = np.empty(rows.size, dtype=bool)
+        # dF and dG rings, (2, B, m, M); zeroed slots get gamma = 0 and so need no mask
+        self.history = np.zeros((2, rows.size, _MEMORY, z.shape[-1]), dtype=np.complex128)
+        self.gram = np.zeros((rows.size, _MEMORY, _MEMORY))
+        self.evaluations = 0
+
+    def step(self, lam: float, tolerance: float) -> int:
+        n_stopped = super().step(lam, tolerance)
+        self.evaluations += 1
+        f, g, norms = self.current
+        accept = np.less_equal(norms.rows[0], self.accepted_residual, out=self.accept)
+        d_f, d_g = self.history.view(np.float64)  # complex pairs as float64, (B, m, 2M) each
+        slot = self.evaluations % _MEMORY
+        if self.evaluations > 1:  # the first point has no partner
+            f_acc, g_acc, _ = self.accepted
+            np.subtract(f, f_acc, out=self.history[0, :, slot])
+            np.subtract(g, g_acc, out=self.history[1, :, slot])
+            column = np.matmul(d_f, d_f[:, slot, :, None])[..., 0]
+            self.gram[:, :, slot] = column
+            self.gram[:, slot, :] = column
+        if accept.all():
+            self.accepted, self.current = self.current, self.accepted
+            self.accepted_residual[...] = norms.rows[0]
+        else:
+            reject = ~accept
+            self.history[:, reject] = 0.0
+            self.gram[reject] = 0.0
+            for kept, new in zip(self.accepted[:2], (f, g)):
+                np.copyto(kept, new, where=accept[:, None])
+            np.copyto(self.accepted_residual, norms.rows[0], where=accept)
+            self.accepted_residual[reject] = np.inf  # T of the accepted point is a plain step
+        f_acc, g_acc, _ = self.accepted
+        # a Tikhonov term scaled by the trace keeps the fit solvable when the ring is rank deficient
+        ridge = 1e-10 * self.gram.trace(axis1=1, axis2=2) + _TINY
+        regularized = self.gram + ridge[:, None, None] * _IDENTITY
+        gamma = np.linalg.solve(regularized, np.matmul(d_f, f_acc.view(np.float64)[..., None]))
+        z = self.current[1]
+        np.matmul(gamma.transpose(0, 2, 1), d_g, out=z.view(np.float64)[:, None, :])
+        np.subtract(g_acc, z, out=z)
+        return n_stopped
+
+    def without_stopped(self) -> "_AndersonStack":
+        keep = ~self.stopped
+        rest = super().without_stopped()
+        for mine, theirs in zip(self.accepted[:2], rest.accepted[:2]):
+            theirs[...] = mine[keep]
+        rest.accepted_residual[...] = self.accepted_residual[keep]
+        rest.history = self.history[:, keep]  # the zeroed ring made for rest was never touched
+        rest.gram = self.gram[keep]
+        rest.evaluations = self.evaluations
         return rest
 
 
@@ -284,8 +366,13 @@ def recover_l1(
 
 
 # Rows per solve are capped so that one (B, M) complex stack stays near 4 MiB;
-# the solver keeps about ten of them alive at a time.
+# the plain solver keeps about ten of them alive at a time.
 _STACK_ENTRIES = 1 << 18
+
+# Domains of this many points or more are solved by _AndersonStack.  Below it
+# the plain step is cheaper: at M = 64 one batched 10 x 10 solve costs more
+# than the map evaluations it saves.
+_ANDERSON_MIN_SIZE = 1024
 
 
 def recover_l1_batch(
@@ -305,6 +392,12 @@ def recover_l1_batch(
     it would run alone; large batches are solved a bounded stack at a time.
     The returned coefficients are post-processed by one fidelity projection
     so the constraint holds up to the stopping tolerance even on early exit.
+
+    Domains of fewer than 1024 points run plain DR.  Larger ones run DR with
+    type-II Anderson acceleration (memory 10, see ``_AndersonStack``), which
+    keeps 20 M complex entries of history per row: 1.25 MiB at M = 4096.
+    There ``iterations`` counts evaluations of the DR map, rejected Anderson
+    steps included, against ``max_iterations``.
     """
     count = len(samples)
     configs = [config] * count if isinstance(config, RecoveryConfig) else list(config)
@@ -316,7 +409,11 @@ def recover_l1_batch(
     if len(solver) != 1:
         raise ValueError("a batch shares max_iterations, step and tolerance")
     ((max_iterations, step, tolerance),) = solver
-    per_stack = max(1, _STACK_ENTRIES // system.size)
+    stack_type = _AndersonStack if system.size >= _ANDERSON_MIN_SIZE else _Stack
+    # An Anderson row also holds 2 * _MEMORY secant vectors and its accepted
+    # pair, about 3.2 times the arrays of a plain row, so its stacks hold a
+    # quarter of the rows and a full one stays within the same budget.
+    per_stack = max(1, _STACK_ENTRIES // (system.size * (4 if stack_type is _AndersonStack else 1)))
     if count > per_stack:
         return [
             result
@@ -335,7 +432,7 @@ def recover_l1_batch(
     best = np.empty((count, system.size), dtype=np.complex128)
     iterations = np.full(count, max_iterations)
     converged = np.zeros(count, dtype=bool)
-    stack = _Stack(system, np.arange(count), mask, y_ext, sigma, system._analyze_array(y_ext))
+    stack = stack_type(system, np.arange(count), mask, y_ext, sigma, system._analyze_array(y_ext))
     for it in range(1, max_iterations + 1):
         n_stopped = stack.step(step, tolerance)
         if n_stopped:

@@ -1,11 +1,12 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from fratio import FiniteAbelianGroup
+from fratio import FiniteAbelianGroup, Signal, parse_system
 from fratio.cli import main
-from fratio.signals import random_signal, read_signal, write_signal
+from fratio.signals import generate_signal, random_signal, read_signal, write_signal
 
 
 def run_json(tmp_path, argv, name="out.json"):
@@ -20,6 +21,18 @@ class TestSubcommands:
         assert payload["system"] == "dft:64"
         assert payload["fr"] > 1.0
         assert len(payload["sparsify"]) == 3
+
+    def test_roundtrip_of_a_signal_whose_squares_overflow(self, tmp_path):
+        # ||f||_2 is about 1e161: finite, though its sum of squares is not
+        system = parse_system("dft:64")
+        f = generate_signal(system, "random", seed=0)
+        path = tmp_path / "huge.txt"
+        write_signal(str(path), Signal(f.group, f.values * 1e160))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            payload = run_json(tmp_path, ["rdcodec", "roundtrip", "--system", "dft:64", "--signal", f"file:{path}"])
+        assert payload["within_budget"]
+        assert 0 < payload["relative_distortion"] <= payload["eps"]
 
     def test_recover(self, tmp_path):
         payload = run_json(

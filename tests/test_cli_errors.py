@@ -6,9 +6,7 @@ import json
 
 import pytest
 
-from fratio import Signal, parse_system
 from fratio.cli import main
-from fratio.signals import generate_signal, write_signal
 
 
 def usage_error(capsys, argv) -> str:
@@ -45,16 +43,6 @@ class TestSubcommandErrors:
         blob.write_bytes(b"not a descriptor")
         assert "fratio rdcodec: error:" in usage_error(capsys, ["rdcodec", "decode", "--descriptor", str(blob)])
 
-
-    def test_signal_whose_coefficient_norm_overflows(self, capsys, tmp_path):
-        # the ratio of a huge signal is finite, but its stored norm is not:
-        # no stream is written that the decoder would refuse
-        system = parse_system("dft:64")
-        f = generate_signal(system, "random", seed=0)
-        path = tmp_path / "huge.txt"
-        write_signal(str(path), Signal(f.group, f.values * 1e160))
-        err = usage_error(capsys, ["rdcodec", "roundtrip", "--system", "dft:64", "--signal", f"file:{path}"])
-        assert "fratio rdcodec: error:" in err
 
 
 class TestStrictConfig:

@@ -5,6 +5,7 @@ import pytest
 
 from fratio import (
     FiniteAbelianGroup,
+    Signal,
     make_dft,
     make_gabor_block,
     make_haar,
@@ -105,6 +106,17 @@ class TestCodecRoundtrip:
             rd_encode(system, Signal(system.group, np.zeros(8)), 0.2)
         with pytest.raises(ValueError):
             rd_encode(system, complex_gaussian(system.group, 0), 1.5)
+
+    @pytest.mark.parametrize("scale", [1e-170, 1e160])
+    def test_signals_whose_squares_underflow_or_overflow(self, scale):
+        system = make_dft(FiniteAbelianGroup((64,)))
+        f = complex_gaussian(system.group, 3)
+        g = Signal(system.group, f.values * scale)
+        descriptor, _ = rd_encode(system, g, 0.2)
+        unit, _ = rd_encode(system, f, 0.2)
+        assert descriptor.coeff_l2 == pytest.approx(scale * unit.coeff_l2, rel=1e-12, abs=0)
+        back = rd_decode(descriptor.serialize())
+        assert Signal(system.group, back.values - g.values).l2 <= 0.2 * g.l2
 
     def test_empty_support_stream_decodes_to_zero(self):
         descriptor = Descriptor(

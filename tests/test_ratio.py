@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from fratio import fourier_ratio, harmonic_model, soft_sparsify, sorted_decay_check
+from fratio import CoefficientVector, FiniteAbelianGroup, Signal, fourier_ratio, harmonic_model, soft_sparsify, sorted_decay_check
 from fratio.ratio import top_indices
 
 nonzero_vectors = arrays(
@@ -40,6 +40,19 @@ class TestFourierRatio:
             assert fourier_ratio(alpha * c) == fourier_ratio(c)
         else:
             assert fourier_ratio(alpha * c) == pytest.approx(fourier_ratio(c), rel=1e-12)
+
+    @pytest.mark.parametrize("alpha", [2.0**-600, 2.0**600, 1e-170, 1e160], ids=["2^-600", "2^600", "1e-170", "1e160"])
+    def test_norms_of_huge_and_tiny_vectors(self, alpha):
+        rng = np.random.default_rng(3)
+        v = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+        group = FiniteAbelianGroup((64,))
+        for make in (lambda a: Signal(group, a), lambda a: CoefficientVector("dft:64", a)):
+            l2 = make(v).l2
+            assert l2 == float(np.linalg.norm(v))  # the normal range keeps its bits
+            if np.frexp(alpha)[0] == 0.5:
+                assert make(alpha * v).l2 == alpha * l2
+            else:
+                assert make(alpha * v).l2 == pytest.approx(alpha * l2, rel=1e-12, abs=0)
 
     def test_ratio_of_subnormal_vector(self):
         assert fourier_ratio(np.array([5e-324, 0.0, 5e-324j])) == pytest.approx(math.sqrt(2), rel=1e-15)
