@@ -2,22 +2,21 @@
 and the phase sweep over (signal class, sampling rate) grids.
 
 Per-trial seeds are derived with SHA-256 from (master seed, grid index, trial
-index), so results do not depend on execution order.  The whole sweep is one
-batched solve.
+index), so results do not depend on execution order.  The sweep builds its
+trials lazily and solves them in ``recover_l1_batch``'s stacks, so only its
+records, a few hundred bytes per trial, grow with the number of trials.
 """
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass
-from typing import NamedTuple
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from . import __version__
-from .groups import Signal
 from .ratio import fourier_ratio
-from .recovery import RecoveryConfig, SampleSet, bernoulli_sample, recover_l1_batch, restrict
+from .recovery import RecoveryConfig, _solve_stacks, bernoulli_sample, restrict
 from .recovery import recover_l1  # noqa: F401  (perfbench's traced run wraps this name)
 from .signals import generate_signal
 from .systems import OrthonormalSystem, parse_system
@@ -47,7 +46,7 @@ class PhaseSweepConfig:
     step: float = 1.0
     tolerance: float = 1e-9
     threshold: float | None = None
-    jobs: int = 1  # accepted for compatibility; the sweep runs as one batch
+    jobs: int = 1  # accepted for compatibility; the sweep runs in one process, a stack at a time
 
 
 @dataclass(frozen=True)
@@ -61,19 +60,13 @@ class TrialRecord:
     success: bool
 
 
-class TrialInputs(NamedTuple):
-    signal: Signal
-    sample: SampleSet
-    y: np.ndarray
-    sigma: float
-
-
-def trial_inputs(system: OrthonormalSystem, signal_spec: str, p: float, eps: float, seed: int) -> TrialInputs:
-    """The recovery trial recipe: the signal and the sample set are drawn from
-    seeds derived from ``seed``, and the fidelity radius is eps * ||f||_2."""
+def trial_inputs(system: OrthonormalSystem, signal_spec: str, p: float, eps: float, seed: int) -> tuple:
+    """The recovery trial recipe: the signal f and the sample set are drawn
+    from seeds derived from ``seed``; returns f, the sample set, the sampled
+    values and the fidelity radius eps * ||f||_2."""
     f = generate_signal(system, signal_spec, seed=derive_seed(seed, 0))
     sample = bernoulli_sample(system.group, p, derive_seed(seed, 1))
-    return TrialInputs(f, sample, restrict(f.values, sample), eps * f.l2)
+    return f, sample, restrict(f.values, sample), eps * f.l2
 
 
 @dataclass(frozen=True)
@@ -123,21 +116,15 @@ def run_phase_sweep(config: PhaseSweepConfig) -> PhaseSweepReport:
         for grid_index, p in enumerate(config.p_values)
         for trial in range(config.trials)
     ]
-    inputs = [trial_inputs(system, config.signal, p, config.eps, seed) for p, _, seed in grid]
-    configs = [
-        RecoveryConfig(
-            max_iterations=config.max_iterations,
-            step=config.step,
-            tolerance=config.tolerance,
-            fidelity_radius=t.sigma,
-        )
-        for t in inputs
-    ]
-    results = recover_l1_batch(
-        system, [t.sample for t in inputs], [t.y for t in inputs], configs, [t.signal for t in inputs]
-    )
+    solver = RecoveryConfig(max_iterations=config.max_iterations, step=config.step, tolerance=config.tolerance)
+
+    def problems():
+        for p, _, seed in grid:
+            f, sample, y, sigma = trial_inputs(system, config.signal, p, config.eps, seed)
+            yield sample, y, replace(solver, fidelity_radius=sigma), f
+
     records = []
-    for (p, trial, seed), result in zip(grid, results):
+    for (p, trial, seed), result in zip(grid, _solve_stacks(system, problems())):
         rel = result.relative_error if result.relative_error is not None else float("inf")
         records.append(
             TrialRecord(

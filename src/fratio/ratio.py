@@ -28,10 +28,15 @@ def fourier_ratio(c) -> float:
     return float(np.sum(np.abs(v))) / l2
 
 
+def check_ratio_bound(r: float) -> None:
+    """Validate the ratio bound r that every bound takes: finite and >= 1."""
+    if not 1 <= r < math.inf:
+        raise ValueError(f"ratio bound r must be >= 1 and finite, got {r}")
+
+
 def check_bound_args(r: float, eps: float, M: int) -> None:
     """Validate the (ratio bound, accuracy, domain size) triple the bounds take."""
-    if r < 1:
-        raise ValueError("ratio bound r must be >= 1")
+    check_ratio_bound(r)
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
     if M < 2:

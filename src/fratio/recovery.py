@@ -10,9 +10,10 @@ domains of 1024 points or more the splitting is Anderson-accelerated.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -180,10 +181,7 @@ def project_fidelity(
     y: np.ndarray,
     sigma: Union[float, np.ndarray],
 ) -> np.ndarray:
-    """Exact Euclidean projection of c onto the fidelity ball.
-
-    Because restriction-after-synthesis has orthonormal rows, the projection is
-    c minus the analyzed zero-extension of the clipped residual.
+    """Exact Euclidean projection of c onto the fidelity ball (see ``_Projection``).
 
     ``sample`` is a SampleSet with ``y`` its sampled values.  For a (B, M)
     stack ``c`` of problems, ``sample`` is a complex (B, M) indicator of the
@@ -361,11 +359,10 @@ def recover_l1(
     truth: Optional[Signal] = None,
 ) -> RecoveryResult:
     """l1 recovery of one problem by Douglas-Rachford: ``recover_l1_batch`` with B = 1."""
-    truths = None if truth is None else [truth]
-    return recover_l1_batch(system, [sample], [y], config, truths)[0]
+    return next(_solve_stacks(system, [(sample, y, config, truth)]))
 
 
-# Rows per solve are capped so that one (B, M) complex stack stays near 4 MiB;
+# Rows per stack are capped so that one (B, M) complex stack stays near 4 MiB;
 # the plain solver keeps about ten of them alive at a time.
 _STACK_ENTRIES = 1 << 18
 
@@ -383,15 +380,16 @@ def recover_l1_batch(
     truths: Optional[Sequence[Signal]] = None,
 ) -> list[RecoveryResult]:
     """Douglas-Rachford splitting between soft thresholding and the fidelity
-    projection, on a (B, M) stack of independent problems.
+    projection, on independent problems solved a (B, M) stack at a time.
 
     Row i recovers from ``samples[i]`` and its sampled values ``ys[i]``.
     ``config`` holds for every row, or is a sequence with one per row; such
     configs may differ only in their fidelity radius.  Each row stops by its
     own rule and then leaves the active stack, so it runs the same iterations
-    it would run alone; large batches are solved a bounded stack at a time.
-    The returned coefficients are post-processed by one fidelity projection
-    so the constraint holds up to the stopping tolerance even on early exit.
+    it would run alone.  A stack holds ``_STACK_ENTRIES // M`` rows (4096 at
+    M = 64), a quarter of that under Anderson (16 at M = 4096).  The returned
+    coefficients are post-processed by one fidelity projection so the
+    constraint holds up to the stopping tolerance even on early exit.
 
     Domains of fewer than 1024 points run plain DR.  Larger ones run DR with
     type-II Anderson acceleration (memory 10, see ``_AndersonStack``), which
@@ -403,69 +401,65 @@ def recover_l1_batch(
     configs = [config] * count if isinstance(config, RecoveryConfig) else list(config)
     if len(ys) != count or len(configs) != count or (truths is not None and len(truths) != count):
         raise ValueError("samples, values, configs and truths must have one entry per problem")
-    if count == 0:
-        return []
-    solver = {(cfg.max_iterations, cfg.step, cfg.tolerance) for cfg in configs}
-    if len(solver) != 1:
+    if len({(cfg.max_iterations, cfg.step, cfg.tolerance) for cfg in configs}) > 1:
         raise ValueError("a batch shares max_iterations, step and tolerance")
-    ((max_iterations, step, tolerance),) = solver
+    return list(_solve_stacks(system, zip(samples, ys, configs, [None] * count if truths is None else truths)))
+
+
+def _solve_stacks(system: OrthonormalSystem, problems: Iterable[tuple]) -> Iterator[RecoveryResult]:
+    """The results of (sample, values, config, truth) problems, solved a stack at
+    a time as they are taken from ``problems``: memory does not grow with their
+    number.  The configs share their solver settings; all truths are Signals or None."""
     stack_type = _AndersonStack if system.size >= _ANDERSON_MIN_SIZE else _Stack
     # An Anderson row also holds 2 * _MEMORY secant vectors and its accepted
     # pair, about 3.2 times the arrays of a plain row, so its stacks hold a
     # quarter of the rows and a full one stays within the same budget.
     per_stack = max(1, _STACK_ENTRIES // (system.size * (4 if stack_type is _AndersonStack else 1)))
-    if count > per_stack:
-        return [
-            result
-            for start in range(0, count, per_stack)
-            for result in recover_l1_batch(
-                system,
-                samples[start : start + per_stack],
-                ys[start : start + per_stack],
-                configs[start : start + per_stack],
-                None if truths is None else truths[start : start + per_stack],
+    problems = iter(problems)
+    while stack := list(itertools.islice(problems, per_stack)):
+        samples, ys, configs, truths = zip(*stack)
+        max_iterations, step, tolerance = configs[0].max_iterations, configs[0].step, configs[0].tolerance
+        count = len(stack)
+        mask, y_ext = _pack(system, samples, ys)
+        sigma = np.array([cfg.fidelity_radius for cfg in configs])
+
+        best = np.empty((count, system.size), dtype=np.complex128)
+        iterations = np.full(count, max_iterations)
+        converged = np.zeros(count, dtype=bool)
+        active = stack_type(system, np.arange(count), mask, y_ext, sigma, system._analyze_array(y_ext))
+        for it in range(1, max_iterations + 1):
+            n_stopped = active.step(step, tolerance)
+            if n_stopped:
+                stopped, rows = active.stopped, active.rows
+                best[rows[stopped]] = active.shrunk[stopped]
+                converged[rows[stopped]] = True
+                iterations[rows[stopped]] = it
+                if n_stopped == rows.size:
+                    break
+                active = active.without_stopped()
+        else:
+            best[active.rows] = active.shrunk  # rows that ran out of iterations
+
+        c_star = project_fidelity(system, best, mask, y_ext, sigma)
+        recovered = system._synthesize_array(c_star)
+        residual = _Norms(recovered * mask - y_ext)()
+        coefficient_l1 = np.abs(c_star).sum(axis=-1)
+        rel_err = [None] * count
+        if truths[0] is not None:
+            err = _Norms(recovered - np.stack([t.values for t in truths]))()
+            rel_err = [float(e) / t.l2 if t.l2 > 0 else None for e, t in zip(err, truths)]
+        yield from (
+            RecoveryResult(
+                recovered=Signal(system.group, recovered[i]),
+                coefficient_l1=float(coefficient_l1[i]),
+                fidelity_residual=float(residual[i]),
+                iterations=int(iterations[i]),
+                converged=bool(converged[i]),
+                tau=system.tau,
+                relative_error=rel_err[i],
             )
-        ]
-    mask, y_ext = _pack(system, samples, ys)
-    sigma = np.array([cfg.fidelity_radius for cfg in configs])
-
-    best = np.empty((count, system.size), dtype=np.complex128)
-    iterations = np.full(count, max_iterations)
-    converged = np.zeros(count, dtype=bool)
-    stack = stack_type(system, np.arange(count), mask, y_ext, sigma, system._analyze_array(y_ext))
-    for it in range(1, max_iterations + 1):
-        n_stopped = stack.step(step, tolerance)
-        if n_stopped:
-            stopped, rows = stack.stopped, stack.rows
-            best[rows[stopped]] = stack.shrunk[stopped]
-            converged[rows[stopped]] = True
-            iterations[rows[stopped]] = it
-            if n_stopped == rows.size:
-                break
-            stack = stack.without_stopped()
-    else:
-        best[stack.rows] = stack.shrunk  # rows that ran out of iterations
-
-    c_star = project_fidelity(system, best, mask, y_ext, sigma)
-    recovered = system._synthesize_array(c_star)
-    residual = _Norms(recovered * mask - y_ext)()
-    coefficient_l1 = np.abs(c_star).sum(axis=-1)
-    rel_err = [None] * count
-    if truths is not None:
-        err = _Norms(recovered - np.stack([t.values for t in truths]))()
-        rel_err = [float(e) / t.l2 if t.l2 > 0 else None for e, t in zip(err, truths)]
-    return [
-        RecoveryResult(
-            recovered=Signal(system.group, recovered[i]),
-            coefficient_l1=float(coefficient_l1[i]),
-            fidelity_residual=float(residual[i]),
-            iterations=int(iterations[i]),
-            converged=bool(converged[i]),
-            tau=system.tau,
-            relative_error=rel_err[i],
+            for i in range(count)
         )
-        for i in range(count)
-    ]
 
 
 def sample_complexity(r: float, eps: float, M: int, tau: float, C: float = 1.0) -> float:
@@ -474,10 +468,13 @@ def sample_complexity(r: float, eps: float, M: int, tau: float, C: float = 1.0) 
     The log(r/eps) factor is floored at 1 so r/eps <= e stays nondegenerate.
     """
     check_bound_args(r, eps, M)
-    if tau <= 0:
-        raise ValueError("tau must be positive")
+    if not 0 < tau < math.inf:
+        raise ValueError("tau must be positive and finite")
     log_factor = max(1.0, math.log(r / eps))
     return C * (tau * math.sqrt(M)) ** 2 * (r / eps) ** 2 * log_factor**2 * math.log(M)
+
+
+_ERASURE_BLOCK_ENTRIES = 1 << 16  # binomial draws per erasure_row_statistics block: 512 KiB
 
 
 @dataclass(frozen=True)
@@ -508,6 +505,8 @@ def erasure_row_statistics(
     per_row = float(binom.cdf(math.ceil(threshold) - 1, N, theta))
     exact = per_row**T
     rng = np.random.default_rng(seed)
-    losses = rng.binomial(N, theta, size=(trials, T))
-    empirical = float(np.mean(losses.max(axis=1) < threshold))
+    # binomial fills in C order, so blocks of rows take the stream one (trials, T) draw would
+    rows = max(1, _ERASURE_BLOCK_ENTRIES // T)
+    blocks = (rng.binomial(N, theta, size=(min(rows, trials - start), T)) for start in range(0, trials, rows))
+    empirical = sum(int(np.count_nonzero(b.max(axis=1) < threshold)) for b in blocks) / trials
     return ErasureStatistics(empirical_prob=empirical, exact_prob=exact, threshold=threshold)

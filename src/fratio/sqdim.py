@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .groups import Signal
-from .ratio import fourier_ratio
+from .ratio import check_ratio_bound, fourier_ratio
 from .systems import OrthonormalSystem
 
 # Entries per sq_mse stack, counted over the wider of the (rows, k) draws and
@@ -204,17 +204,19 @@ def _check_covering_args(M: int, tau: float, r: float) -> None:
     """Validate the (domain size, incoherence, ratio bound) triple of the covering bounds."""
     if M < 1:
         raise ValueError("M must be >= 1")
-    if tau < M**-0.5 * (1 - 1e-12):
-        raise ValueError("tau cannot be below M^{-1/2}")
-    if r < 1:
-        raise ValueError("r must be >= 1")
+    if not M**-0.5 * (1 - 1e-12) <= tau < math.inf:
+        raise ValueError(f"tau cannot be below M^{{-1/2}} and must be finite, got {tau}")
+    check_ratio_bound(r)
 
 
 def covering_params(M: int, tau: float, r: float) -> CoveringParams:
     _check_covering_args(M, tau, r)
-    k = math.ceil(16**2 * M * tau**2 * r**2)
-    N2 = math.ceil(16 * tau * r * math.sqrt(M))
-    N1 = math.ceil(16 * tau * k)
+    try:
+        k = math.ceil(16**2 * M * tau**2 * r**2)
+        N2 = math.ceil(16 * tau * r * math.sqrt(M))
+        N1 = math.ceil(16 * tau * k)
+    except OverflowError:  # from a power, or from ceil of an infinite product
+        raise ValueError(f"the covering quantities overflow at M={M}, tau={tau}, r={r}") from None
     return CoveringParams(M=M, tau=tau, r=r, k=k, N1=N1, N2=N2)
 
 
@@ -246,9 +248,15 @@ def quantizer_deviation_bound(params: CoveringParams, k: int) -> float:
 def sq_dim_log2(M: int, tau: float, r: float) -> float:
     """log2 of M^E (16^3 tau^3 M r^2 + 1) (16 tau r sqrt(M))^E with E = 16^2 M tau^2 r^2.
 
-    Evaluated in log space, so it never overflows.
+    Evaluated in log space; a ValueError where even that overflows.
     """
     _check_covering_args(M, tau, r)
-    E = 16**2 * M * tau**2 * r**2
-    middle = 16**3 * tau**3 * M * r**2 + 1.0
-    return E * math.log2(M) + math.log2(middle) + E * math.log2(16 * tau * r * math.sqrt(M))
+    try:
+        E = 16**2 * M * tau**2 * r**2
+        middle = 16**3 * tau**3 * M * r**2 + 1.0
+        value = E * math.log2(M) + math.log2(middle) + E * math.log2(16 * tau * r * math.sqrt(M))
+    except OverflowError:  # from a power
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"the covering quantities overflow at M={M}, tau={tau}, r={r}")
+    return value

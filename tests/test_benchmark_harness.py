@@ -1,5 +1,5 @@
 """The benchmark harness still runs on today's library: one short traced
-round of one workload, as ``perfbench/run.py`` starts it.  A traced worker
+round of each workload, as ``perfbench/run.py`` starts it.  A traced worker
 wraps every function its tracer names, so renaming one of them in ``src/``
 fails here rather than only in the slower ``python -m pytest perfbench``."""
 import json
@@ -8,13 +8,16 @@ import subprocess
 import sys
 import time
 
+import pytest
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def test_a_traced_smoke_round_runs_without_failures(tmp_path):
+@pytest.mark.parametrize("workload", ["sweep-small", "recover-4k", "codec", "estimate-localize"])
+def test_a_traced_smoke_round_runs_without_failures(tmp_path, workload):
     argv = [
         sys.executable, os.path.join(ROOT, "perfbench", "worker.py"),
-        "--workload", "sweep-small", "--seed", "0", "--size", "smoke", "--trace", "1",
+        "--workload", workload, "--seed", "0", "--size", "smoke", "--trace", "1",
         "--seconds", "0.2", "--workdir", str(tmp_path), "--spawned-at", repr(time.monotonic()),
     ]
     env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")}

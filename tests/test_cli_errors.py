@@ -43,6 +43,17 @@ class TestSubcommandErrors:
         blob.write_bytes(b"not a descriptor")
         assert "fratio rdcodec: error:" in usage_error(capsys, ["rdcodec", "decode", "--descriptor", str(blob)])
 
+    @pytest.mark.parametrize(
+        "r, message",
+        [
+            ("inf", "ratio bound r must be >= 1 and finite, got inf"),
+            ("nan", "ratio bound r must be >= 1 and finite, got nan"),
+            ("1e200", "the covering quantities overflow"),
+        ],
+    )
+    def test_a_ratio_bound_out_of_range(self, capsys, r, message):
+        err = usage_error(capsys, ["sqdim", "--system", "dft:16", "--r", r])
+        assert f"fratio sqdim: error: {message}" in err
 
 
 class TestStrictConfig:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fratio import harness, recovery
 from fratio.harness import PhaseSweepConfig, run_phase_sweep
 
 
@@ -39,3 +40,25 @@ def test_aggregates_report_convergence():
 def test_sweep_needs_a_trial():
     with pytest.raises(ValueError):
         run_phase_sweep(PhaseSweepConfig(system="dft:16", trials=0))
+
+
+def test_the_sweep_builds_its_trials_at_most_one_stack_ahead_of_the_solver(monkeypatch):
+    rows = 3
+    monkeypatch.setattr(recovery, "_STACK_ENTRIES", rows * 16)
+    built, stacks = [0], []
+    build, pack = harness.trial_inputs, recovery._pack
+
+    def counted_build(*args):
+        built[0] += 1
+        assert built[0] - sum(stacks) <= rows
+        return build(*args)
+
+    def counted_pack(system, samples, ys):  # a stack solve starts by packing its rows
+        stacks.append(len(samples))
+        return pack(system, samples, ys)
+
+    monkeypatch.setattr(harness, "trial_inputs", counted_build)
+    monkeypatch.setattr(recovery, "_pack", counted_pack)
+    report = run_phase_sweep(PhaseSweepConfig(system="dft:16", signal="sparse:1", p_values=(0.5, 1.0), trials=4))
+    assert stacks == [3, 3, 2]
+    assert built[0] == len(report.records) == 8

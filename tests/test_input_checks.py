@@ -10,8 +10,8 @@ import pytest
 from fratio import FiniteAbelianGroup, ProductDecomposition, Signal, groups, localization_check, make_dft, parse_system
 from fratio.bitio import MalformedStreamError
 from fratio.cli import main
-from fratio.codec import Descriptor
-from fratio.recovery import RecoveryConfig, bernoulli_sample, project_fidelity, soft_threshold
+from fratio.codec import Descriptor, rd_bit_bound
+from fratio.recovery import RecoveryConfig, bernoulli_sample, project_fidelity, sample_complexity, soft_threshold
 from fratio.signals import read_signal
 from fratio.sqdim import covering_params, sq_dim_log2
 
@@ -117,6 +117,11 @@ class TestCoveringArgs:
             ((0, 1.0, 1.0), "M must be >= 1"),
             ((16, 0.2, 1.0), "tau cannot be below"),
             ((16, 0.25, 0.5), "r must be >= 1"),
+            ((16, 0.25, math.nan), "r must be >= 1 and finite"),
+            ((16, 0.25, math.inf), "r must be >= 1 and finite"),
+            ((16, math.nan, 1.0), "tau cannot be below"),
+            ((16, math.inf, 1.0), "tau cannot be below"),
+            ((16, 0.25, 1e200), "the covering quantities overflow"),
         ],
     )
     def test_both_bounds_refuse_with_the_same_message(self, args, message):
@@ -129,6 +134,25 @@ class TestCoveringArgs:
         tau = M**-0.5
         assert covering_params(M, tau, 1.0).k == math.ceil(16**2 * M * tau**2)
         assert math.isfinite(sq_dim_log2(M, tau, 1.0))
+
+
+class TestBoundArgs:
+    @pytest.mark.parametrize("r", [math.nan, math.inf])
+    def test_a_non_finite_ratio_bound_is_refused(self, r):
+        with pytest.raises(ValueError, match="r must be >= 1 and finite"):
+            rd_bit_bound(r, 0.5, 64)
+        with pytest.raises(ValueError, match="r must be >= 1 and finite"):
+            sample_complexity(r, 0.5, 64, tau=0.125)
+
+    @pytest.mark.parametrize("tau", [math.nan, math.inf])
+    def test_a_non_finite_tau_is_refused(self, tau):
+        with pytest.raises(ValueError, match="tau must be positive and finite"):
+            sample_complexity(2.0, 0.5, 64, tau=tau)
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf])
+    def test_a_non_finite_eps_is_refused(self, eps):
+        with pytest.raises(ValueError, match="eps must lie in"):
+            rd_bit_bound(2.0, eps, 64)
 
 
 class TestSolverSettings:

@@ -415,6 +415,15 @@ class TestSampleComplexity:
 
 
 class TestErasureStatistics:
+    @pytest.mark.parametrize("rows", [1, 3, 7])
+    def test_row_blocks_draw_the_stream_of_one_draw(self, monkeypatch, rows):
+        N, T, theta, trials, seed = 40, 5, 0.2, 103, 4  # no block size here divides 103 trials
+        monkeypatch.setattr(recovery, "_ERASURE_BLOCK_ENTRIES", rows * T)
+        stats = erasure_row_statistics(N, T, theta, 2, trials=trials, seed=seed)
+        losses = np.random.default_rng(seed).binomial(N, theta, size=(trials, T))
+        assert 0 < stats.empirical_prob < 1
+        assert stats.empirical_prob == float(np.mean(losses.max(axis=1) < stats.threshold))
+
     def test_small_theta_near_one(self):
         stats = erasure_row_statistics(100, 5, 1e-6, 2, trials=100, seed=0)
         assert stats.exact_prob > 0.999
