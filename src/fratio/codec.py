@@ -29,12 +29,15 @@ import numpy as np
 
 from .bitio import BitReader, BitWriter, MalformedStreamError, signed_widths
 from .groups import FiniteAbelianGroup, Signal, check_domain_size
-from .ratio import check_bound_args, soft_sparsify
+from .ratio import check_bound_args, refuses_overflow, soft_sparsify
 from .systems import SYSTEMS, OrthonormalSystem, system_on_group
 
 MAGIC = b"FRRD"
 VERSION = 1
 _CODE_LABELS = {cls.code: label for label, cls in SYSTEMS.items()}
+# Largest quantization code rd_encode makes: float64 holds every integer up to
+# 2^53 exactly, and the decoder scales the codes as float64.
+_MAX_CODE = 2.0**53
 
 
 @dataclass(frozen=True)
@@ -182,6 +185,8 @@ def rd_encode(system: OrthonormalSystem, f: Signal, eps: float) -> tuple[Descrip
     coeff_l2 = float(c.l2)
     delta = eps / (4.0 * math.sqrt(k)) * coeff_l2
     kept = c.entries[support]
+    if k and max(np.abs(kept.real).max(), np.abs(kept.imag).max()) > _MAX_CODE * delta:
+        raise ValueError(f"eps={eps} is too small: its quantization codes would exceed 2^53, past exact float64 integers")
     q_re = _quantize_toward_zero(kept.real, delta)
     q_im = _quantize_toward_zero(kept.imag, delta)
     descriptor = Descriptor(
@@ -234,6 +239,7 @@ def rd_decode(descriptor: Descriptor | bytes) -> Signal:
     return system.synthesize(entries)
 
 
+@refuses_overflow
 def rd_bit_bound(r: float, eps: float, M: int, C0: float = 1.0, C1: float = 1.0) -> float:
     """Two-term description-length bound C0 (r/eps)^2 L^2 log M + C1 (r/eps)^2 L^3.
 
@@ -246,6 +252,7 @@ def rd_bit_bound(r: float, eps: float, M: int, C0: float = 1.0, C1: float = 1.0)
     return C0 * base * L**2 * math.log(M) + C1 * base * L**3
 
 
+@refuses_overflow
 def rd_bit_bound_gabor(r: float, eps: float, N: int, T: int, C0: float = 1.0, C1: float = 1.0) -> float:
     """Variant of the bound for block time-frequency domains: the second term
     carries L^2 log(1/eps) instead of L^3, with M = N*T."""

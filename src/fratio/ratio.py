@@ -1,6 +1,7 @@
 """The l1/l2 coefficient ratio and soft sparsification built on it."""
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -43,6 +44,26 @@ def check_bound_args(r: float, eps: float, M: int) -> None:
         raise ValueError("M must be >= 2")
 
 
+def refuses_overflow(bound):
+    """Wrap a bound of (r, eps, ...) so that a value past float64 is a ValueError.
+
+    Python's float power raises OverflowError, and a product overflows to inf
+    silently; both become the one refusal the covering bounds make.
+    """
+
+    @functools.wraps(bound)
+    def checked(r: float, eps: float, *args, **kwargs) -> float:
+        try:
+            value = bound(r, eps, *args, **kwargs)
+        except OverflowError:  # from a power
+            value = math.inf
+        if not math.isfinite(value):
+            raise ValueError(f"the bound overflows at r={r}, eps={eps}")
+        return value
+
+    return checked
+
+
 @dataclass(frozen=True)
 class SparsifyResult:
     support: np.ndarray
@@ -69,7 +90,10 @@ def soft_sparsify(c, eta: float) -> SparsifyResult:
         raise ValueError(f"eta must lie in (0, 1), got {eta}")
     v = _entries(c)
     r = fourier_ratio(v)
-    s = min(v.shape[0], math.ceil(r * r / (eta * eta)))
+    M = v.shape[0]
+    # FR^2 / eta^2 is inf where it overflows, or where eta^2 underflows to 0
+    x = r * r / (eta * eta) if eta * eta > 0.0 else math.inf
+    s = math.ceil(x) if x < M else M
     support = top_indices(v, s)
     truncation = np.zeros_like(v)
     truncation[support] = v[support]

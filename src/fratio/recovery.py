@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 import numpy as np
 
 from .groups import FiniteAbelianGroup, Signal
-from .ratio import check_bound_args
+from .ratio import check_bound_args, refuses_overflow
 from .systems import OrthonormalSystem
 
 
@@ -462,6 +462,7 @@ def _solve_stacks(system: OrthonormalSystem, problems: Iterable[tuple]) -> Itera
         )
 
 
+@refuses_overflow
 def sample_complexity(r: float, eps: float, M: int, tau: float, C: float = 1.0) -> float:
     """Threshold on p*M for stable recovery, with the (tau sqrt(M))^2 system scaling.
 

@@ -5,7 +5,16 @@ A signal f with coefficients g is estimated by drawing basis indices with
 probability |g(m)| / ||g||_1 and averaging the rank-one synthesis terms; the
 estimate is unbiased with mean-squared error at most M tau^2 r^2 / k.
 
-``sq_sample`` and ``sq_mse`` draw through one recipe (``_WeightedDraws``).
+``sq_sample`` and ``sq_mse`` draw through one recipe (``_WeightedDraws``):
+the indices ``Generator.choice(M, size, p=|g| / ||g||_1)`` returns, from the
+same uniforms of the same stream, found through a guide table of G equal
+buckets over the cdf (Chen & Asau 1974) instead of a binary search per draw.
+G is a power of two, so a uniform's bucket is exact, and where a bucket holds
+at most one cdf point one comparison gives ``searchsorted``'s index; keys in
+wider buckets are searched.  G is at most 16 M, the number of draws of the
+call and 2^16: the table has no more buckets than the call has draws, its
+build costs O(min(M + G, G log M)), and its memory is bounded at any M.
+
 ``sq_mse`` runs its trials as (rows, M) stacks of about ``_STACK_ENTRIES``
 entries: one draw, one accumulation (``_accumulate``, the same one
 ``RandomFunctional.coefficient_weights`` runs on one row) and one synthesis
@@ -19,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .groups import Signal
+from .groups import Signal, _unit_scaled
 from .ratio import check_ratio_bound, fourier_ratio
 from .systems import OrthonormalSystem
 
@@ -27,6 +36,15 @@ from .systems import OrthonormalSystem
 # the (rows, M) synthesis: under 2 MB of temporaries per stack.  Larger stacks
 # were no faster and raised the peak memory.
 _STACK_ENTRIES = 1 << 14
+
+# Guide-table buckets for the weighted draw: at most 16 per coefficient, one
+# per draw of the call, and 2^16 in all (512 KiB of counts).  At 16 per
+# coefficient 0.01-1.3 % of the benchmark's sq_mse draws need the binary search.
+_BUCKETS_PER_POINT = 16
+_MAX_BUCKETS = 1 << 16
+
+# At and below this modulus 1/|g| overflows, and g / |g| with it.
+_RECIPROCAL_FLOOR = 2.0**-1024
 
 
 def _accumulate(indices: np.ndarray, phases: np.ndarray, M: int) -> np.ndarray:
@@ -67,42 +85,100 @@ class RandomFunctional:
         return self.system._synthesize_array(self.coefficient_weights())
 
 
+def _bucket_count(M: int, draws: int) -> int:
+    """Guide-table size G: the largest power of two at most _BUCKETS_PER_POINT * M,
+    the number of draws and _MAX_BUCKETS."""
+    cap = min(_BUCKETS_PER_POINT * M, draws, _MAX_BUCKETS)
+    return 1 << (cap.bit_length() - 1)
+
+
+def _unit_phases(g: np.ndarray, mags: np.ndarray) -> np.ndarray:
+    """g / |g|, zero where g is.
+
+    Where 1/|g| overflows (|g| <= 2^-1024) the phase is that of g times an
+    exact power of two; every other entry is the plain quotient, bit for bit.
+    """
+    unit = np.zeros(g.shape[0], dtype=np.complex128)
+    plain = np.flatnonzero(mags > _RECIPROCAL_FLOOR)
+    unit[plain] = g[plain] / mags[plain]
+    if plain.size < np.count_nonzero(mags):
+        tiny = np.flatnonzero((mags > 0.0) & (mags <= _RECIPROCAL_FLOOR))
+        scaled = _unit_scaled(g[tiny])
+        unit[tiny] = scaled / np.abs(scaled)
+    return unit
+
+
+def _edge_counts(cdf: np.ndarray, G: int) -> np.ndarray:
+    """#{i : cdf[i] <= b/G} for the bucket edges b = 0..G of a sorted cdf.
+
+    Either G + 1 binary searches, O(G log M), or one bincount of
+    ceil(cdf G), O(M + G), whichever costs less; cdf * G is exact, G being a
+    power of two, so ceil(cdf[i] G) <= b exactly where cdf[i] <= b/G.
+    """
+    M = cdf.shape[0]
+    if G * M.bit_length() < M:
+        return cdf.searchsorted(np.arange(G + 1) / G, side="right")
+    return np.cumsum(np.bincount(np.ceil(cdf * G).astype(np.intp), minlength=G + 1))
+
+
 @dataclass(frozen=True)
 class _WeightedDraws:
-    """The |g|-weighted distribution over the coefficients g of a signal."""
+    """The |g|-weighted distribution over the coefficients g of a signal, and
+    a guide table over its cdf for drawing from it."""
 
     g: np.ndarray
     l1: float
-    probs: np.ndarray
     unit: np.ndarray  # g / |g|, zero where g is
+    cdf: np.ndarray  # cumsum(|g| / l1) / its last entry, as Generator.choice forms it
+    start: np.ndarray  # per bucket [b/G, (b+1)/G): #{i : cdf[i] <= b/G}
+    wide: np.ndarray  # per bucket: whether two or more cdf points lie in (b/G, (b+1)/G]
 
     @classmethod
-    def of(cls, system: OrthonormalSystem, f: Signal) -> "_WeightedDraws":
-        g = system.analyze(f).entries
+    def of(cls, g: np.ndarray, draws: int) -> "_WeightedDraws":
+        """The distribution of coefficients g, with a table sized for ``draws`` draws."""
         mags = np.abs(g)
-        l1 = float(np.sum(mags))
+        with np.errstate(over="ignore"):
+            l1 = float(np.sum(mags))
         if l1 == 0.0:
             raise ValueError("cannot sample from the zero signal")
-        nonzero = np.flatnonzero(mags)
-        unit = np.zeros(g.shape[0], dtype=np.complex128)
-        unit[nonzero] = g[nonzero] / mags[nonzero]
-        return cls(g=g, l1=l1, probs=mags / l1, unit=unit)
+        if not math.isfinite(l1):
+            raise ValueError(f"cannot sample: the coefficients' l1 norm is {l1}, not a finite float64")
+        cdf = (mags / l1).cumsum()
+        cdf /= cdf[-1]
+        G = _bucket_count(g.shape[0], draws)
+        counts = _edge_counts(cdf, G)
+        return cls(g=g, l1=l1, unit=_unit_phases(g, mags), cdf=cdf, start=counts[:G], wide=np.diff(counts) > 1)
 
     def draw(self, rng: np.random.Generator, shape) -> tuple[np.ndarray, np.ndarray]:
         """Indices of the given shape and their unit phases.
 
-        ``Generator.choice`` fills its uniforms in C order, so one (rows, k)
-        draw consumes the stream exactly as rows successive draws of k.
+        The same indices, from the same stream, as
+        ``rng.choice(M, size=shape, p=|g| / l1)``: the same cdf, the same
+        uniforms ``rng.random(shape)`` (filled in C order, so one (rows, k)
+        draw consumes the stream exactly as rows successive draws of k), and
+        for each u the index ``cdf.searchsorted(u, side="right")``, the count
+        of cdf points at most u.  u lies in bucket b = floor(u G), exact since
+        G is a power of two.  The start[b] points at most b/G are at most u,
+        and every point above (b+1)/G is above u; so where at most one point,
+        cdf[start[b]], lies in (b/G, (b+1)/G], the count is
+        ``start[b] + (cdf[start[b]] <= u)``.  Keys in wider buckets are looked
+        up with ``searchsorted``.
         """
-        indices = rng.choice(self.probs.shape[0], size=shape, p=self.probs)
-        return indices, self.unit[indices]
+        u = rng.random(shape)
+        b = (u * self.start.shape[0]).astype(np.intp)
+        indices = np.take(self.start, b)
+        indices += np.take(self.cdf, indices) <= u
+        wide = np.take(self.wide, b)
+        if wide.any():
+            indices[wide] = self.cdf.searchsorted(u[wide], side="right")
+        return indices, np.take(self.unit, indices)
 
 
 def sq_sample(system: OrthonormalSystem, f: Signal, k: int, seed: int) -> RandomFunctional:
     """Draw k indices from the |g|-weighted distribution of the coefficients g."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    weighted = _WeightedDraws.of(system, f)
+    weighted = _WeightedDraws.of(system.analyze(f).entries, k)
     indices, phases = weighted.draw(np.random.default_rng(seed), k)
     return RandomFunctional(
         system=system,
@@ -165,17 +241,20 @@ def sq_mse(
         or abs(distribution.sum() - 1.0) > 1e-9
     ):
         raise ValueError("distribution must be a probability vector over the domain")
-    weighted = _WeightedDraws.of(system, f)
+    weighted = _WeightedDraws.of(system.analyze(f).entries, trials * k)
     r = fourier_ratio(weighted.g)
     rng = np.random.default_rng(seed)
     amplitude = weighted.l1 / k
     rows = _stack_rows(M, k)
     per_trial = np.empty(trials)
-    for start in range(0, trials, rows):
-        n = min(rows, trials - start)
-        idx, phases = weighted.draw(rng, (n, k))
-        P = system._synthesize_array(amplitude * _accumulate(idx, phases, M))
-        per_trial[start : start + n] = (distribution * np.abs(f.values - P) ** 2).sum(axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
+        for start in range(0, trials, rows):
+            n = min(rows, trials - start)
+            idx, phases = weighted.draw(rng, (n, k))
+            P = system._synthesize_array(amplitude * _accumulate(idx, phases, M))
+            per_trial[start : start + n] = (distribution * np.abs(f.values - P) ** 2).sum(axis=-1)
+    if not np.all(np.isfinite(per_trial)):
+        raise ValueError("a trial's weighted squared error is not finite: the signal's scale overflows float64")
     bound = M * system.tau**2 * r**2 / k
     std_error = float(per_trial.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return MseReport(

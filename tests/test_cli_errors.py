@@ -6,7 +6,10 @@ import json
 
 import pytest
 
+from fratio import parse_system
 from fratio.cli import main
+from fratio.groups import Signal
+from fratio.signals import generate_signal, write_signal
 
 
 def usage_error(capsys, argv) -> str:
@@ -33,6 +36,18 @@ class TestSubcommandErrors:
         missing = tmp_path / "missing.frrd"
         err = usage_error(capsys, ["rdcodec", "decode", "--descriptor", str(missing)])
         assert "fratio rdcodec: error:" in err and "missing.frrd" in err
+
+    def test_an_eps_too_small_for_exact_codes(self, capsys):
+        err = usage_error(capsys, ["rdcodec", "roundtrip", "--system", "dft:16", "--signal", "random", "--eps", "1e-160"])
+        assert "fratio rdcodec: error: eps=1e-160 is too small" in err
+
+    def test_an_overflowing_sampling_estimate(self, capsys, tmp_path):
+        f = generate_signal(parse_system("dft:16"), "random", seed=0)
+        path = tmp_path / "huge.txt"
+        write_signal(path, Signal(f.group, f.values * 1e306))
+        argv = ["sqdim", "--system", "dft:16", "--r", "2.0", "--mse-k", "8", "--trials", "10", "--signal", f"file:{path}"]
+        err = usage_error(capsys, argv)
+        assert "fratio sqdim: error: a trial's weighted squared error is not finite" in err
 
     def test_missing_setting(self, capsys):
         assert "fratio fr: error: missing required setting 'system'" in usage_error(capsys, ["fr"])

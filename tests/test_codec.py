@@ -18,6 +18,7 @@ from fratio import (
 from fratio.bitio import MalformedStreamError
 from fratio.codec import Descriptor
 from fratio.harness import derive_seed
+from fratio.ratio import soft_sparsify
 from fratio.signals import harmonic_signal, sparse_signal
 
 from conftest import complex_gaussian
@@ -204,3 +205,26 @@ def test_bit_totals_linear_fit():
     coef, *_ = np.linalg.lstsq(design, totals, rcond=None)
     residual = np.abs(design @ coef - totals) / totals
     assert float(residual.max()) < 0.05
+
+
+class TestTinyEps:
+    def test_eps_1e_15_still_encodes_within_budget(self):
+        system = make_dft(FiniteAbelianGroup((16,)))
+        f = complex_gaussian(system.group, 0)
+        descriptor, account = rd_encode(system, f, 1e-15)
+        decoded = rd_decode(descriptor.serialize())
+        assert np.linalg.norm(decoded.values - f.values) <= 1e-15 * f.l2
+        assert account.total == 8 * len(descriptor.serialize())
+
+    @pytest.mark.parametrize("eps", [1e-17, 1e-19, 1e-100, 1e-160, 1e-300])
+    def test_codes_past_2_53_are_refused(self, eps):
+        # above 2^53 codes are not exact in float64; past 2^63 the int64 cast wraps
+        system = make_dft(FiniteAbelianGroup((16,)))
+        with pytest.raises(ValueError, match="2\\^53"):
+            rd_encode(system, complex_gaussian(system.group, 0), eps)
+
+    @pytest.mark.parametrize("eta", [1e-160, 1e-170, 5e-324])
+    def test_sparsify_keeps_every_entry_where_fr2_over_eta2_is_infinite(self, eta):
+        # FR^2 / eta^2 overflows at 1e-160; eta^2 is 0 at 1e-170
+        c = complex_gaussian(FiniteAbelianGroup((16,)), 1).values
+        assert soft_sparsify(c, eta).s == 16

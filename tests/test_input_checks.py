@@ -10,7 +10,7 @@ import pytest
 from fratio import FiniteAbelianGroup, ProductDecomposition, Signal, groups, localization_check, make_dft, parse_system
 from fratio.bitio import MalformedStreamError
 from fratio.cli import main
-from fratio.codec import Descriptor, rd_bit_bound
+from fratio.codec import Descriptor, rd_bit_bound, rd_bit_bound_gabor
 from fratio.recovery import RecoveryConfig, bernoulli_sample, project_fidelity, sample_complexity, soft_threshold
 from fratio.signals import read_signal
 from fratio.sqdim import covering_params, sq_dim_log2
@@ -153,6 +153,17 @@ class TestBoundArgs:
     def test_a_non_finite_eps_is_refused(self, eps):
         with pytest.raises(ValueError, match="eps must lie in"):
             rd_bit_bound(2.0, eps, 64)
+
+    def test_a_bound_past_float64_is_refused(self):
+        # (r / eps) ** 2 raises OverflowError at r = 1e200; at 1e152 the power is
+        # finite and the product overflows to inf
+        with pytest.raises(ValueError, match="the bound overflows at r=1e\\+200"):
+            sample_complexity(1e200, 0.5, 64, tau=0.125)
+        for r in (1e200, 1e152):
+            with pytest.raises(ValueError, match="the bound overflows"):
+                rd_bit_bound(r, 0.5, 64)
+            with pytest.raises(ValueError, match="the bound overflows"):
+                rd_bit_bound_gabor(r, 0.5, 8, 8)
 
 
 class TestSolverSettings:

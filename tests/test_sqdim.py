@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,9 +17,10 @@ from fratio import (
     sq_mse,
     sq_sample,
 )
+from fratio.groups import Signal
 from fratio.harness import derive_seed
 from fratio.signals import rademacher_signal
-from fratio.sqdim import CoveringParams, RandomFunctional
+from fratio.sqdim import CoveringParams, RandomFunctional, _unit_phases
 
 from conftest import complex_gaussian
 
@@ -39,6 +41,25 @@ class TestSqSample:
         system = make_dft(FiniteAbelianGroup((12,)))
         P = sq_sample(system, complex_gaussian(system.group, 2), 64, seed=3)
         assert np.allclose(np.abs(P.phases), 1.0, atol=1e-12)
+
+    def test_phases_of_subnormal_coefficients_are_unit_modulus(self):
+        # 1 / |g| overflows below about 5.6e-309, and g / |g| with it
+        system = make_dft(FiniteAbelianGroup((16,)))
+        f = complex_gaussian(system.group, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            P = sq_sample(system, Signal(f.group, f.values * 1e-320), 64, seed=3)
+        assert np.allclose(np.abs(P.phases), 1.0, atol=1e-12)
+
+    def test_only_the_subnormal_phases_are_rescaled(self):
+        g = np.array([1 + 1j, 3e-320 - 4e-320j, 0, 2.0**-1024, -5e-324j, 2.0**-1024 + 2.0**-1074, -7.5 + 0.25j])
+        mags = np.abs(g)
+        unit = _unit_phases(g, mags)
+        plain = [0, 5, 6]
+        assert unit[plain].tobytes() == (g[plain] / mags[plain]).tobytes()
+        assert unit[2] == 0
+        assert np.allclose(unit[[1, 3, 4]], [0.6 - 0.8j, 1, -1j], rtol=0, atol=1e-2)
+        assert np.allclose(np.abs(unit[[1, 3, 4]]), 1.0, atol=1e-15)
 
     def test_amplitude_is_l1_over_k(self):
         system = make_wht(3)
@@ -220,3 +241,21 @@ class TestMseInputs:
         f = rademacher_signal(system.group, 1)
         with pytest.raises(ValueError, match="probability vector"):
             sq_mse(system, f, k=4, trials=3, seed=0, distribution=np.array(distribution))
+
+
+class TestOverflowingSignal:
+    def test_an_infinite_l1_norm_is_refused_by_both_draws(self):
+        system = make_dft(FiniteAbelianGroup((256,)))
+        f = complex_gaussian(system.group, 0)
+        huge = Signal(f.group, f.values * 1e306)
+        with pytest.raises(ValueError, match="l1 norm is inf"):
+            sq_sample(system, huge, 8, seed=0)
+        with pytest.raises(ValueError, match="l1 norm is inf"):
+            sq_mse(system, huge, k=8, trials=10, seed=0)
+
+    def test_a_non_finite_trial_error_is_refused(self):
+        # l1 is finite here, but the squared errors overflow
+        system = make_dft(FiniteAbelianGroup((16,)))
+        f = complex_gaussian(system.group, 0)
+        with pytest.raises(ValueError, match="squared error is not finite"):
+            sq_mse(system, Signal(f.group, f.values * 1e306), k=8, trials=10, seed=0)
