@@ -1,18 +1,29 @@
 """Bit-level stream I/O for the bit-packed body of the descriptor format.
 
-Bits are written MSB-first and held as numpy arrays of 0/1 bytes, packed and
-unpacked with ``np.packbits``/``np.unpackbits``.  Integers use either fixed
-widths or a self-delimiting signed code: a unary width prefix (width-1 ones
-then a zero) followed by a minimal-width two's-complement payload, 2 * width
-bits in all.  Each value has exactly one code: the reader rejects signed
-codes wider than their value needs.  Whole arrays of codes are written and
-read in a few vectorized passes; values are at most 64 bits wide.
+The body is a run of unsigned fields of 1 to 64 bits, MSB first.  An integer
+is one fixed-width field or a self-delimiting signed code of two width-w
+fields: the unary prefix 2^w - 2 (w - 1 ones then a zero) and the minimal-width
+two's-complement payload.  Each value has exactly one code: the reader rejects
+signed codes wider than their value needs.  Both directions work on 64-bit
+words, not on arrays of one entry per bit.  ``to_bytes`` packs every field at
+once, ORing it into the word of its first bit and spilling the rest into the
+next word.  The reader reads a field as the 64 bits from its first bit, and
+turns into words only the bits its fields can occupy, so its memory follows
+the count read and not the stream length.
 """
 from __future__ import annotations
+
+from array import array
 
 import numpy as np
 
 _WORD = 64  # widest fixed-width field and widest signed payload
+_ONES = np.uint64(2**_WORD - 1)
+# _BELOW[e] = 2^(e-1) - 1, the largest value whose bit length is below e
+_BELOW = np.array([-1] + [2**e - 1 for e in range(_WORD)], dtype=np.int64)
+# for each byte's four bit pairs, MSB first: the offset of the pair's first
+# zero bit, or 2^62 (past any stream) when both bits are ones
+_PAIR_ZERO = np.array([0, 0, 1, 2**62])[(np.arange(256)[:, None] >> np.array([6, 4, 2, 0])) & 3]
 
 
 class MalformedStreamError(ValueError):
@@ -20,24 +31,28 @@ class MalformedStreamError(ValueError):
 
 
 def signed_widths(values) -> np.ndarray:
-    """Payload width of each value's signed code, in exact integer arithmetic.
+    """Payload width of each value's signed code, exact over all of int64.
 
-    The width is the bit length of v (of -v-1 when v < 0) plus a sign bit, so
-    a value's code takes 2 * width bits.
+    The width is the bit length of x = v (of -v-1 when v < 0) plus a sign bit,
+    so a value's code takes 2 * width bits.  float64(x) has the exponent e of
+    that bit length, or one more where rounding carries x up a binade.
     """
     v = np.asarray(values, dtype=np.int64)
     x = v ^ (v >> 63)  # v when v >= 0, -v-1 when v < 0
-    width = np.ones(x.shape, dtype=np.int64)
-    for shift in (32, 16, 8, 4, 2, 1):
-        wide = (x >> shift) != 0
-        width += wide * shift
-        x = np.where(wide, x >> shift, x)
-    return width + x
+    e = np.frexp(x)[1]
+    return np.add(e, x > _BELOW[e], dtype=np.int64)
+
+
+def _at(words: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """The 64 bits from each bit offset of words, MSB first; shifts stay below 64."""
+    q, r = offsets >> 6, (offsets & 63).astype(np.uint64)
+    return (words[q] << r) | (words[1:][q] >> (63 - r) >> 1)
 
 
 class BitWriter:
     def __init__(self):
-        self._chunks: list[np.ndarray] = []
+        self._values = [np.empty(0, dtype=np.uint64)]  # the fields
+        self._widths = [np.empty(0, dtype=np.int64)]  # their widths in bits, 1 to 64
 
     def write_fixed_array(self, values, nbits: int) -> None:
         """Each value in nbits bits, MSB first."""
@@ -46,101 +61,106 @@ class BitWriter:
             raise ValueError(f"fixed-width fields hold at most {_WORD} bits, not {nbits}")
         if values.size and (values.min() < 0 or (nbits < _WORD and values.max() >> nbits)):
             raise ValueError(f"cannot write values outside [0, 2^{nbits}) in {nbits} bits")
-        words = np.ascontiguousarray(values, dtype=">u8").view(np.uint8).reshape(-1, 8)
-        self._chunks.append(np.unpackbits(words, axis=1)[:, _WORD - nbits :].reshape(-1))
+        if nbits:
+            self._values.append(values.astype(np.uint64))
+            self._widths.append(np.full(values.size, nbits, dtype=np.int64))
 
     def write_signed_array(self, values) -> None:
         """Signed codes of all values, back to back."""
         v = np.asarray(values, dtype=np.int64).reshape(-1)
-        if not v.size:
-            return
         width = signed_widths(v)
-        length = 2 * width
-        ends = np.cumsum(length)
-        # bits from each stream bit to the last bit of its code: the prefix
-        # holds the distances above width, its closing zero sits at width,
-        # and payload bit `distance` is bit `distance` of the value
-        distance = np.repeat(ends - 1, length) - np.arange(int(ends[-1]))
-        bit_width = np.repeat(width, length)
-        payload = (np.repeat(v, length) >> np.minimum(distance, _WORD - 1)) & 1
-        self._chunks.append(np.where(distance < bit_width, payload, distance > bit_width).astype(np.uint8))
+        ones = _ONES >> (_WORD - width).astype(np.uint64)
+        self._values.append(np.column_stack((ones ^ 1, v.view(np.uint64) & ones)).reshape(-1))
+        self._widths.append(np.repeat(width, 2))
 
     def to_bytes(self) -> bytes:
-        if not self._chunks:
+        """Every field so far, packed once, then zero bits up to a whole byte."""
+        values, widths = np.concatenate(self._values), np.concatenate(self._widths)
+        if not widths.size:
             return b""
-        return np.packbits(np.concatenate(self._chunks)).tobytes()
+        ends = np.cumsum(widths)
+        start = ends - widths
+        word, shift, w = start >> 6, (start & 63).astype(np.uint64), widths.astype(np.uint64)
+        # no field is wider than a word, so every word up to the last field's
+        # first one holds some field's first bit: one OR-reduction per word
+        words = np.zeros(int(word[-1]) + 2, dtype=np.uint64)
+        first = np.searchsorted(start, np.arange(0, int(start[-1]) + 1, _WORD))
+        words[:-1] = np.bitwise_or.reduceat((values << (_WORD - w)) >> shift, first)
+        # the bits past a word's end go to the top of the next word
+        spill = np.flatnonzero(shift + w > _WORD)
+        words[word[spill] + 1] |= values[spill] << (2 * _WORD - shift[spill] - w[spill])
+        return words.astype(">u8").tobytes()[: (int(ends[-1]) + 7) // 8]
 
 
 class BitReader:
-    def __init__(self, data: bytes):
-        self._bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
+    def __init__(self, data):
+        """data: the body as bytes or any byte buffer; it is not copied."""
+        self._data = data
+        self._size = 8 * len(data)
         self._pos = 0
 
-    def _take(self, nbits: int) -> np.ndarray:
-        if nbits > self._bits.size - self._pos:
-            raise MalformedStreamError("stream truncated")
-        bits = self._bits[self._pos : self._pos + nbits]
-        self._pos += nbits
-        return bits
+    def _words(self, nbits: int) -> np.ndarray:
+        """The nbits bits from the read position as 64-bit words, then zeros."""
+        first, skip = divmod(self._pos, 8)
+        nbytes = (skip + nbits + 7) // 8
+        bits = int.from_bytes(self._data[first : first + nbytes], "big") >> (8 * nbytes - skip - nbits)
+        size = nbits // _WORD + 2
+        aligned = (bits & ((1 << nbits) - 1)) << (_WORD * size - nbits)
+        return np.frombuffer(aligned.to_bytes(8 * size, "big"), dtype=">u8").astype(np.uint64)
 
     def read_fixed_array(self, count: int, nbits: int) -> np.ndarray:
-        """count values of nbits bits each, as uint64."""
+        """count values of nbits bits each, as uint64; the words are zero past
+        the count * nbits bits, so nbits = 0 reads zeros."""
         if not 0 <= nbits <= _WORD:
             raise ValueError(f"fixed-width fields hold at most {_WORD} bits, not {nbits}")
-        bits = self._take(count * nbits).reshape(count, nbits)
-        words = np.zeros((count, _WORD), dtype=np.uint8)
-        words[:, _WORD - nbits :] = bits
-        return np.packbits(words, axis=1).view(">u8").reshape(-1).astype(np.uint64)
+        if count * nbits > self._size - self._pos:
+            raise MalformedStreamError("stream truncated")
+        words = self._words(count * nbits)
+        self._pos += count * nbits
+        return _at(words, np.arange(count, dtype=np.int64) * nbits) >> np.uint64(_WORD - max(nbits, 1))
 
     def read_signed_array(self, count: int) -> np.ndarray:
         """count signed codes, as int64."""
-        start = self._pos
-        if 2 * count > self._bits.size - start:
+        if 2 * count > self._size - self._pos:
             raise MalformedStreamError("stream truncated")
-        if not count:
-            return np.empty(0, dtype=np.int64)
-        # no code is longer than 2 * _WORD bits, so count codes lie in this window
-        window = self._bits[start : start + 2 * _WORD * count]
-        end = window.size
-        # a code at p of width w = (first zero at or after p) - p + 1 is
-        # followed by the next at p + 2w; `end` stands in for a missing zero
-        zeros = np.flatnonzero(window == 0)
-        next_zero = np.full(end + 1, end)
-        next_zero[zeros] = zeros
-        next_zero = np.minimum.accumulate(next_zero[::-1])[::-1]
-        jump = memoryview(2 * next_zero - np.arange(end + 1) + 2)
-        starts = []
-        pos = 0
+        # no code is longer than 2 * _WORD bits, so count codes lie in this
+        # window; the zero bit at its end stands in for a missing zero
+        end = min(self._size - self._pos, 2 * _WORD * count)
+        words = self._words(end)
+        # codes are 2w bits long, so they start at pairs: a code at pair j of
+        # width w = (first zero at or after bit 2j) - 2j + 1 is followed by the
+        # next at pair j + w
+        pairs = np.arange(32 * words.size)
+        zeros = _PAIR_ZERO[words.astype(">u8").view(np.uint8)].reshape(-1) + 2 * pairs
+        jump = memoryview(np.minimum.accumulate(zeros[::-1])[::-1] - pairs + 1)
+        last = end // 2
+        starts = array("q")
+        append, pos = starts.append, 0
         for _ in range(count):
-            starts.append(pos)
+            append(pos)
             pos = jump[pos]
-            if pos > end:
+            if pos > last:
                 break
-        starts.append(pos)
-        width = np.diff(starts) // 2
-        if width.size and width.max() > _WORD:
+        append(pos)
+        starts = np.frombuffer(starts, dtype=np.int64)
+        width = np.diff(starts)
+        if width.max(initial=0) > _WORD:
             raise MalformedStreamError("signed width prefix too long")
-        if pos > end:
+        if pos > last:
             raise MalformedStreamError("stream truncated")
-        self._pos = start + pos
-        # every payload bit at once, summed into its value's word, then sign-extended
-        first = np.cumsum(width) - width
-        offset = np.arange(int(width.sum())) - np.repeat(first, width)
-        bits = window[np.repeat(np.cumsum(2 * width) - width, width) + offset].astype(np.uint64)
-        unsigned = np.add.reduceat(bits << (np.repeat(width - 1, width) - offset).astype(np.uint64), first)
-        pad = (_WORD - width).astype(np.uint64)
-        values = (unsigned << pad).view(np.int64) >> pad.view(np.int64)
+        self._pos += 2 * pos
+        # a payload starts at bit 2 * start + width = start + next start
+        payload = _at(words, starts[:-1] + starts[1:]).view(np.int64)
         # the width is minimal when it is 1 or the payload's bit below the
         # sign bit differs from it
-        sign, below = bits[first], bits[np.minimum(first + 1, bits.size - 1)]
-        if np.any((width > 1) & (sign == below)):
+        if np.any((width > 1) & (payload >> 62 == payload >> 63)):
             raise MalformedStreamError("signed code wider than the minimal width of its value")
-        return values
+        return payload >> (_WORD - width)
 
     def check_end(self) -> None:
         """The stream must end here, in zero padding bits short of a byte."""
-        rest = self._bits[self._pos :]
-        if rest.size >= 8:
+        rest = self._size - self._pos
+        if rest >= 8:
             raise MalformedStreamError("trailing bytes after the stream")
-        if rest.any():
+        if rest and self._data[-1] & ((1 << rest) - 1):
             raise MalformedStreamError("nonzero padding bits")

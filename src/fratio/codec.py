@@ -11,13 +11,13 @@ Stream layout: a byte header, then a bit-packed body.  The header is the
 magic "FRRD", a version byte, the factor count and factors (unsigned LEB128
 varints), the system code byte, k (varint), and big-endian float64 ||c||_2
 and eps.  The body is k support indices at ceil(log2 M) fixed bits each, then
-k (re, im) pairs of signed self-delimiting codes (``bitio``), then zero bits
-up to the next byte boundary.  The decoder rejects domains of more than
-MAX_DOMAIN_SIZE points, non-finite floats, nonzero padding, trailing bytes
-and non-minimal varints and signed codes, so every accepted stream is the
-serialization of the descriptor it decodes to; the encoder refuses to write
-what the decoder would refuse.  The bit account counts the body in closed
-form and builds the header bytes, so rd_encode serializes nothing.
+k (re, im) pairs of signed self-delimiting codes, then zero bits to a byte
+boundary; ``bitio`` packs and parses it in 64-bit words, in place and in
+memory that follows k, not the stream length.  The decoder rejects domains
+above MAX_DOMAIN_SIZE, non-finite floats, nonzero padding, trailing bytes and
+non-minimal varints and signed codes, so every accepted stream serializes back
+to itself, and the encoder refuses what the decoder would refuse.  The bit
+account counts the body in closed form, so rd_encode serializes nothing.
 """
 from __future__ import annotations
 
@@ -106,7 +106,7 @@ class Descriptor:
             raise MalformedStreamError("non-finite coefficient norm or eps")
         if k > group.size:
             raise MalformedStreamError("support larger than the domain")
-        body = BitReader(data[head.pos :])
+        body = BitReader(memoryview(data)[head.pos :])
         support = body.read_fixed_array(k, _index_bits(group.size))
         if np.any(support >= group.size):
             raise MalformedStreamError("support index out of range")

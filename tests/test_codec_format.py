@@ -9,6 +9,7 @@ reproduce them byte for byte.
 import json
 import math
 import struct
+import tracemalloc
 from datetime import timedelta
 from pathlib import Path
 
@@ -367,3 +368,175 @@ def test_one_point_domain_encodes():
     assert account.total == 8 * len(blob)
     assert _same(Descriptor.deserialize(blob), d)
     assert abs(rd_decode(blob).values[0] - 1.0) <= 0.1
+
+
+def _signed_width(v: int) -> int:
+    """Payload width of v's signed code: its bit length (of -v-1 when v < 0) plus a sign bit."""
+    return (v if v >= 0 else -v - 1).bit_length() + 1
+
+
+def _reference_read_signed(bits: str, pos: int, count: int):
+    """count signed codes from bit pos of a bit string, one bit at a time: the
+    values and the end position, or the MalformedStreamError message.
+
+    The checks come in the reader's order: count codes need 2 * count bits;
+    then, code by code, a prefix of 64 ones is too long and a code past the
+    end is truncated; only after every code is delimited is a code wider than
+    its value's minimal width refused.
+    """
+    if 2 * count > len(bits) - pos:
+        return "stream truncated"
+    values, wide = [], False
+    for _ in range(count):
+        ones = 0
+        while ones < 64 and pos + ones < len(bits) and bits[pos + ones] == "1":
+            ones += 1
+        if ones == 64:
+            return "signed width prefix too long"
+        width = ones + 1
+        if pos + 2 * width > len(bits):
+            return "stream truncated"
+        payload = int(bits[pos + width : pos + 2 * width], 2)
+        value = payload - (payload >> (width - 1) << width)
+        wide |= width > 1 and -(1 << (width - 2)) <= value < 1 << (width - 2)
+        values.append(value)
+        pos += 2 * width
+    if wide:
+        return "signed code wider than the minimal width of its value"
+    return values, pos
+
+
+def _library_read_signed(data: bytes, skip: int, count: int):
+    """The same outcome from BitReader, after a skip-bit fixed-width field."""
+    reader = BitReader(data)
+    reader.read_fixed_array(1, skip)
+    try:
+        values = reader.read_signed_array(count)
+    except MalformedStreamError as exc:
+        return str(exc)
+    assert values.dtype == np.int64
+    return values.tolist(), reader._pos
+
+
+_INT64_ENDS = [0, -1, 1, 2**63 - 1, -(2**63), 2**53 - 1, 2**53 + 1, -(2**53) - 1, -(2**53) + 1, 2**53, -(2**53)]
+_INT64S = st.one_of(
+    st.sampled_from(_INT64_ENDS),
+    st.integers(-(2**63), 2**63 - 1),
+    st.integers(1, 64).flatmap(lambda w: st.integers(-(1 << (w - 1)), (1 << (w - 1)) - 1)),
+)
+
+
+def _bits_to_bytes(bits: str) -> bytes:
+    return _Bits().raw(bits).to_bytes()
+
+
+@st.composite
+def _reader_inputs(draw):
+    """(stream bytes, skip, count): the signed section starts after skip bits."""
+    kind = draw(st.sampled_from(["random", "cut", "long prefix"]))
+    values = draw(st.lists(_INT64S, min_size=1, max_size=8))
+    codes = "".join(map(_reference_signed_bits, values))
+    if kind == "random":
+        data = draw(st.binary(min_size=8, max_size=48))
+        return data, draw(st.integers(0, 63)), draw(st.integers(0, 40))
+    if kind == "cut":
+        # cut the codes at any bit, inside a prefix or a payload, with a skip
+        # that puts the cut on a byte boundary
+        cut = draw(st.integers(0, len(codes)))
+        skip = -cut % 8 + 8 * draw(st.integers(0, 7 - (-cut % 8 > 0)))
+        filler = draw(st.integers(0, 2**skip - 1))
+        data = _bits_to_bytes(format(filler, f"0{skip}b")[:skip] + codes[:cut])
+        return data, skip, len(values) + draw(st.integers(-1, 1)) * (len(values) > 1)
+    ones = draw(st.integers(64, 200))
+    tail = draw(st.text(alphabet="01", max_size=300))
+    skip = draw(st.integers(0, 63))
+    data = _bits_to_bytes("0" * skip + codes + "1" * ones + "0" + tail)
+    return data, skip, len(values) + draw(st.integers(1, 3))
+
+
+class TestWordBitIO:
+    @settings(max_examples=300, deadline=timedelta(seconds=2))
+    @given(st.integers(0, 63), st.lists(_INT64S, max_size=40), st.integers(1, 64), st.lists(_INT64S, max_size=5), st.data())
+    def test_writer_matches_reference_at_every_offset(self, skip, values, nbits, more, data):
+        filler = data.draw(st.integers(0, 2**skip - 1))
+        fixed = data.draw(st.integers(0, 2**nbits - 1))
+        w = BitWriter()
+        w.write_fixed_array(np.array([filler], dtype=np.uint64), skip)
+        w.write_signed_array(np.array(values, dtype=np.int64))
+        w.write_fixed_array(np.array([fixed], dtype=np.uint64), nbits)
+        w.write_signed_array(np.array(more, dtype=np.int64))
+        reference = _Bits().fixed(filler, skip)
+        for v in values:
+            reference.signed(v)
+        reference.fixed(fixed, nbits)
+        for v in more:
+            reference.signed(v)
+        stream = w.to_bytes()
+        assert _marked(w) == reference.raw("1").to_bytes()
+        reader = BitReader(stream)
+        assert reader.read_fixed_array(1, skip).tolist() == [filler]
+        assert reader.read_signed_array(len(values)).tolist() == values
+        assert reader.read_fixed_array(1, nbits).tolist() == [fixed]
+        assert reader.read_signed_array(len(more)).tolist() == more
+        reader.check_end()
+
+    def test_every_width_at_every_offset(self):
+        # the two ends of every width, so payloads start at every bit of a word
+        values = [v for w in range(1, 65) for v in (-(1 << (w - 1)), (1 << (w - 1)) - 1)]
+        codes = "".join(map(_reference_signed_bits, values))
+        for skip in range(64):
+            w = BitWriter()
+            w.write_fixed_array(np.array([2**skip - 1], dtype=np.uint64), skip)
+            w.write_signed_array(np.array(values, dtype=np.int64))
+            stream = w.to_bytes()
+            assert _marked(w) == _bits_to_bytes("1" * skip + codes + "1")
+            assert _library_read_signed(stream, skip, len(values)) == (values, skip + len(codes))
+
+    @settings(max_examples=500, deadline=timedelta(seconds=2))
+    @given(_reader_inputs())
+    def test_reader_matches_reference_decoder(self, case):
+        data, skip, count = case
+        bits = "".join(format(b, "08b") for b in data)
+        assert _library_read_signed(data, skip, count) == _reference_read_signed(bits, skip, count)
+
+    @pytest.mark.parametrize("where", ["prefix", "payload"])
+    def test_cut_inside_a_code_is_truncated(self, where):
+        codes = _reference_signed_bits(5) + _reference_signed_bits(-(2**40))
+        cut = 6 + (20 if where == "prefix" else 50)
+        skip = -cut % 8
+        bits = "0" * skip + codes[:cut]
+        assert _reference_read_signed(bits, skip, 2) == "stream truncated"
+        assert _library_read_signed(_bits_to_bytes(bits), skip, 2) == "stream truncated"
+
+    @pytest.mark.parametrize("ones", [64, 65, 127, 128, 300])
+    def test_prefix_of_64_ones_or_more_is_too_long(self, ones):
+        bits = _reference_signed_bits(3) + "1" * ones + "0" + "0" * (ones + 1)
+        assert _library_read_signed(_bits_to_bytes(bits), 0, 3) == "signed width prefix too long"
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_INT64S, max_size=50))
+    def test_signed_widths_are_bit_lengths(self, values):
+        widths = signed_widths(np.array(values, dtype=np.int64))
+        assert widths.dtype == np.int64 and widths.tolist() == [_signed_width(v) for v in values]
+
+    def test_signed_widths_at_every_binade_edge(self):
+        # float64 rounds 2^j - 1 up to 2^j from j = 54 on
+        values = [s * (2**j + d) for j in range(63) for d in (-1, 0, 1) for s in (1, -1)] + _INT64_ENDS
+        values = [v for v in values if -(2**63) <= v < 2**63]
+        assert signed_widths(np.array(values, dtype=np.int64)).tolist() == [_signed_width(v) for v in values]
+
+
+def test_long_tail_fails_in_bounded_memory():
+    system = parse_system("dft:16")
+    d, _ = rd_encode(system, generate_signal(system, "random", seed=3), 0.2)
+    tail = bytes(16 << 20)
+    blob = d.serialize() + tail
+    for decode in (Descriptor.deserialize, rd_decode):
+        tracemalloc.start()
+        try:
+            with pytest.raises(MalformedStreamError, match="trailing bytes after the stream"):
+                decode(blob)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < len(tail) // 16
