@@ -7,8 +7,9 @@ two's-complement payload.  Each value has exactly one code: the reader rejects
 signed codes wider than their value needs.  Both directions work on 64-bit
 words, not on arrays of one entry per bit.  ``to_bytes`` packs every field at
 once, ORing it into the word of its first bit and spilling the rest into the
-next word.  The reader reads a field as the 64 bits from its first bit, and
-turns into words only the bits its fields can occupy, so its memory follows
+next word.  The reader reads a field as the 64 bits from its first bit,
+turns into words only the bits its fields can occupy, and finds signed codes
+through jump tables of a few thousand words at a time, so its memory follows
 the count read and not the stream length.
 """
 from __future__ import annotations
@@ -21,6 +22,9 @@ _WORD = 64  # widest fixed-width field and widest signed payload
 _ONES = np.uint64(2**_WORD - 1)
 # _BELOW[e] = 2^(e-1) - 1, the largest value whose bit length is below e
 _BELOW = np.array([-1] + [2**e - 1 for e in range(_WORD)], dtype=np.int64)
+# words per jump table of the signed-code walk, so its temporaries stay near
+# 5 MiB however long the signed section claims to be
+_CHUNK_WORDS = 1 << 12
 # for each byte's four bit pairs, MSB first: the offset of the pair's first
 # zero bit, or 2^62 (past any stream) when both bits are ones
 _PAIR_ZERO = np.array([0, 0, 1, 2**62])[(np.arange(256)[:, None] >> np.array([6, 4, 2, 0])) & 3]
@@ -41,6 +45,22 @@ def signed_widths(values) -> np.ndarray:
     x = v ^ (v >> 63)  # v when v >= 0, -v-1 when v < 0
     e = np.frexp(x)[1]
     return np.add(e, x > _BELOW[e], dtype=np.int64)
+
+
+def _jumps(words: np.ndarray, base: int) -> np.ndarray:
+    """The next code start after each of the 32 * _CHUNK_WORDS pairs from
+    pair ``base`` (a multiple of 32), both relative to ``base``.
+
+    Codes are 2w bits long, so they start at pairs: a code at pair j of width
+    w = (first zero at or after bit 2j) - 2j + 1 is followed by the next at
+    pair j + w.  The table looks one word past its end, so every width up to
+    64 is exact and every longer one reads as longer than 64.
+    """
+    first = base // 32
+    chunk = words[first : first + _CHUNK_WORDS + 1]
+    pairs = np.arange(32 * chunk.size)
+    zeros = _PAIR_ZERO[chunk.astype(">u8").view(np.uint8)].reshape(-1) + 2 * pairs
+    return (np.minimum.accumulate(zeros[::-1])[::-1] - pairs + 1)[: 32 * _CHUNK_WORDS]
 
 
 def _at(words: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -127,22 +147,31 @@ class BitReader:
         # window; the zero bit at its end stands in for a missing zero
         end = min(self._size - self._pos, 2 * _WORD * count)
         words = self._words(end)
-        # codes are 2w bits long, so they start at pairs: a code at pair j of
-        # width w = (first zero at or after bit 2j) - 2j + 1 is followed by the
-        # next at pair j + w
-        pairs = np.arange(32 * words.size)
-        zeros = _PAIR_ZERO[words.astype(">u8").view(np.uint8)].reshape(-1) + 2 * pairs
-        jump = memoryview(np.minimum.accumulate(zeros[::-1])[::-1] - pairs + 1)
         last = end // 2
-        starts = array("q")
-        append, pos = starts.append, 0
-        for _ in range(count):
+        # the walk runs over jump tables of _CHUNK_WORDS words; the first
+        # start past a table begins the next one at its word
+        parts, base, pos, left = [], 0, 0, count
+        while True:
+            jump = memoryview(_jumps(words, base))
+            starts = array("q")
+            append, limit = starts.append, last - base
+            try:
+                for _ in range(left):
+                    append(pos)
+                    pos = jump[pos]
+                    if pos > limit:
+                        break
+            except IndexError:  # pos is past this table
+                starts.pop()
+                parts.append(np.frombuffer(starts, dtype=np.int64) + base)
+                left -= len(starts)
+                base, pos = base + pos - pos % 32, pos % 32
+                continue
             append(pos)
-            pos = jump[pos]
-            if pos > last:
-                break
-        append(pos)
-        starts = np.frombuffer(starts, dtype=np.int64)
+            parts.append(np.frombuffer(starts, dtype=np.int64) + base)
+            break
+        pos += base
+        starts = np.concatenate(parts)
         width = np.diff(starts)
         if width.max(initial=0) > _WORD:
             raise MalformedStreamError("signed width prefix too long")

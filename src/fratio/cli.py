@@ -182,27 +182,30 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_fr)
 
+    # recover runs one trial of the sweep's recipe, with the defaults of its config fields
     p = sub.add_parser("recover", help="single l1 recovery run")
     p.add_argument("--system", default=None)
-    p.add_argument("--signal", default="sparse:3")
+    p.add_argument("--signal", default=PhaseSweepConfig.signal)
     p.add_argument("--p", type=float, default=0.75)
-    p.add_argument("--eps", type=float, default=0.0)
-    p.add_argument("--max-iterations", type=int, default=5000)
-    p.add_argument("--step", type=float, default=1.0)
-    p.add_argument("--tolerance", type=float, default=1e-9)
+    p.add_argument("--eps", type=float, default=PhaseSweepConfig.eps)
+    p.add_argument("--max-iterations", type=int, default=RecoveryConfig.max_iterations)
+    p.add_argument("--step", type=float, default=RecoveryConfig.step)
+    p.add_argument("--tolerance", type=float, default=RecoveryConfig.tolerance)
     p.add_argument("--save-recovered", default=None)
     _add_common(p)
     p.set_defaults(func=cmd_recover)
 
     p = sub.add_parser("phase", help="success-rate sweep over sampling rates")
     p.add_argument("--system", default=None)
-    p.add_argument("--signal", default="sparse:3")
-    p.add_argument("--p", default="0.25,0.5,0.75,1.0", help="comma-separated keep probabilities")
-    p.add_argument("--eps", type=float, default=0.0)
-    p.add_argument("--max-iterations", type=int, default=5000)
+    p.add_argument("--signal", default=PhaseSweepConfig.signal)
+    p.add_argument(
+        "--p", default=",".join(map(str, PhaseSweepConfig.p_values)), help="comma-separated keep probabilities"
+    )
+    p.add_argument("--eps", type=float, default=PhaseSweepConfig.eps)
+    p.add_argument("--max-iterations", type=int, default=PhaseSweepConfig.max_iterations)
     p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--trials", type=int, default=50)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--trials", type=int, default=PhaseSweepConfig.trials)
+    p.add_argument("--jobs", type=int, default=PhaseSweepConfig.jobs)
     _add_common(p)
     p.set_defaults(func=cmd_phase)
 

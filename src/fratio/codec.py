@@ -16,7 +16,10 @@ boundary; ``bitio`` packs and parses it in 64-bit words, in place and in
 memory that follows k, not the stream length.  The decoder rejects domains
 above MAX_DOMAIN_SIZE, non-finite floats, nonzero padding, trailing bytes and
 non-minimal varints and signed codes, so every accepted stream serializes back
-to itself, and the encoder refuses what the decoder would refuse.  The bit
+to itself.  The encoder refuses what the decoder would refuse: a domain above
+the cap, a non-finite float, and a k that is not the length of the support
+and codes, which would leave bytes the decoder calls trailing.  ``rd_decode``
+makes the same checks on a Descriptor it is handed.  The bit
 account counts the body in closed form, so rd_encode serializes nothing.
 """
 from __future__ import annotations
@@ -71,11 +74,14 @@ class Descriptor:
         return header + body.to_bytes()
 
     def _header(self) -> bytes:
-        """The byte-aligned fields before the body; ValueError on a domain above the cap or a
-        non-finite float, which the decoder would refuse."""
+        """The byte-aligned fields before the body; ValueError on a domain above the cap, a
+        non-finite float or a k that is not the length of the support and codes, which the
+        decoder would refuse."""
         check_domain_size(self.factors)
         if not (math.isfinite(self.coeff_l2) and math.isfinite(self.eps)):
             raise ValueError("non-finite coefficient norm or eps")
+        if any(np.shape(a) != (self.k,) for a in (self.support, self.q_re, self.q_im)):
+            raise ValueError(f"k = {self.k} is not the length of the support, q_re and q_im")
         varints = b"".join(map(_varint, (len(self.factors), *self.factors)))
         code = bytes([SYSTEMS[self.label].code])
         return MAGIC + bytes([VERSION]) + varints + code + _varint(self.k) + struct.pack(">dd", self.coeff_l2, self.eps)
@@ -225,12 +231,15 @@ def _account(d: Descriptor, r: float) -> BitAccount:
 
 
 def rd_decode(descriptor: Descriptor | bytes) -> Signal:
-    if isinstance(descriptor, (bytes, bytearray)):
+    from_bytes = isinstance(descriptor, (bytes, bytearray))
+    if from_bytes:
         descriptor = Descriptor.deserialize(bytes(descriptor))
     try:
         system = system_on_group(descriptor.label, descriptor.group)
     except ValueError as exc:
         raise MalformedStreamError(f"{descriptor.label} descriptor: {exc}") from None
+    if not from_bytes:
+        descriptor._header()  # serialize's checks, which deserialize makes on a stream
     entries = np.zeros(system.size, dtype=np.complex128)
     if descriptor.k:
         entries[descriptor.support] = (

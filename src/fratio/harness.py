@@ -3,14 +3,15 @@ and the phase sweep over (signal class, sampling rate) grids.
 
 Per-trial seeds are derived with SHA-256 from (master seed, grid index, trial
 index), so results do not depend on execution order.  The sweep builds its
-trials lazily and solves them in ``recover_l1_batch``'s stacks, so only its
+trials lazily and streams them into the l1 stack loop,
+``recovery._solve_stacks``, which solves them a stack at a time, so only its
 records, a few hundred bytes per trial, grow with the number of trials.
 """
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -42,9 +43,9 @@ class PhaseSweepConfig:
     trials: int = 50
     master_seed: int = 0
     eps: float = 0.0
-    max_iterations: int = 5000
-    step: float = 1.0
-    tolerance: float = 1e-9
+    max_iterations: int = RecoveryConfig.max_iterations
+    step: float = RecoveryConfig.step
+    tolerance: float = RecoveryConfig.tolerance
     threshold: float | None = None
     jobs: int = 1  # accepted for compatibility; the sweep runs in one process, a stack at a time
 
@@ -107,9 +108,9 @@ def run_phase_sweep(config: PhaseSweepConfig) -> PhaseSweepReport:
         raise ValueError("p values must lie in (0, 1]")
     if config.trials < 1:
         raise ValueError("phase sweep needs at least one trial")
-    threshold = (
-        config.threshold if config.threshold is not None else success_threshold(max(config.eps, 0.0))
-    )
+    if not config.eps >= 0:  # NaN too
+        raise ValueError("fidelity radius must be nonnegative")
+    threshold = config.threshold if config.threshold is not None else success_threshold(config.eps)
     system = parse_system(config.system)
     grid = [
         (p, trial, derive_seed(config.master_seed, grid_index, trial))
@@ -121,10 +122,10 @@ def run_phase_sweep(config: PhaseSweepConfig) -> PhaseSweepReport:
     def problems():
         for p, _, seed in grid:
             f, sample, y, sigma = trial_inputs(system, config.signal, p, config.eps, seed)
-            yield sample, y, replace(solver, fidelity_radius=sigma), f
+            yield sample, y, sigma, f
 
     records = []
-    for (p, trial, seed), result in zip(grid, _solve_stacks(system, problems())):
+    for (p, trial, seed), result in zip(grid, _solve_stacks(system, solver, problems())):
         rel = result.relative_error if result.relative_error is not None else float("inf")
         records.append(
             TrialRecord(

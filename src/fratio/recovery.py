@@ -315,7 +315,12 @@ class _AndersonStack(_Stack):
         for mine, theirs in zip(self.accepted[:2], rest.accepted[:2]):
             theirs[...] = mine[keep]
         rest.accepted_residual[...] = self.accepted_residual[keep]
-        rest.history = self.history[:, keep]  # the zeroed ring made for rest was never touched
+        # kept rows move forward in place, one ring and row at a time, so no
+        # second ring or row temporary is made (rest's zeroed ring is never touched)
+        for new, old in enumerate(np.flatnonzero(keep)):
+            for ring in self.history:
+                ring[new] = ring[old]
+        rest.history = self.history[:, : rest.rows.size]
         rest.gram = self.gram[keep]
         rest.evaluations = self.evaluations
         return rest
@@ -359,7 +364,8 @@ def recover_l1(
     truth: Optional[Signal] = None,
 ) -> RecoveryResult:
     """l1 recovery of one problem by Douglas-Rachford: ``recover_l1_batch`` with B = 1."""
-    return next(_solve_stacks(system, [(sample, y, config, truth)]))
+    _check_truths(system, [truth])
+    return next(_solve_stacks(system, config, [(sample, y, config.fidelity_radius, truth)]))
 
 
 # Rows per stack are capped so that one (B, M) complex stack stays near 4 MiB;
@@ -384,12 +390,15 @@ def recover_l1_batch(
 
     Row i recovers from ``samples[i]`` and its sampled values ``ys[i]``.
     ``config`` holds for every row, or is a sequence with one per row; such
-    configs may differ only in their fidelity radius.  Each row stops by its
-    own rule and then leaves the active stack, so it runs the same iterations
-    it would run alone.  A stack holds ``_STACK_ENTRIES // M`` rows (4096 at
-    M = 64), a quarter of that under Anderson (16 at M = 4096).  The returned
-    coefficients are post-processed by one fidelity projection so the
-    constraint holds up to the stopping tolerance even on early exit.
+    configs may differ only in their fidelity radius.  ``truths``, one per
+    row, are all None or all Signals on the system's group, and give each
+    result its relative error; anything else is a ValueError before any
+    solve.  Each row stops by its own rule and then leaves the active stack,
+    so it runs the same iterations it would run alone.  A stack holds
+    ``_STACK_ENTRIES // M`` rows (4096 at M = 64), a quarter of that under
+    Anderson (16 at M = 4096).  The returned coefficients are post-processed
+    by one fidelity projection so the constraint holds up to the stopping
+    tolerance even on early exit.
 
     Domains of fewer than 1024 points run plain DR.  Larger ones run DR with
     type-II Anderson acceleration (memory 10, see ``_AndersonStack``), which
@@ -399,17 +408,34 @@ def recover_l1_batch(
     """
     count = len(samples)
     configs = [config] * count if isinstance(config, RecoveryConfig) else list(config)
-    if len(ys) != count or len(configs) != count or (truths is not None and len(truths) != count):
+    truths = [None] * count if truths is None else list(truths)
+    if len(ys) != count or len(configs) != count or len(truths) != count:
         raise ValueError("samples, values, configs and truths must have one entry per problem")
     if len({(cfg.max_iterations, cfg.step, cfg.tolerance) for cfg in configs}) > 1:
         raise ValueError("a batch shares max_iterations, step and tolerance")
-    return list(_solve_stacks(system, zip(samples, ys, configs, [None] * count if truths is None else truths)))
+    _check_truths(system, truths)
+    if not count:
+        return []
+    radii = (cfg.fidelity_radius for cfg in configs)
+    return list(_solve_stacks(system, configs[0], zip(samples, ys, radii, truths)))
 
 
-def _solve_stacks(system: OrthonormalSystem, problems: Iterable[tuple]) -> Iterator[RecoveryResult]:
-    """The results of (sample, values, config, truth) problems, solved a stack at
-    a time as they are taken from ``problems``: memory does not grow with their
-    number.  The configs share their solver settings; all truths are Signals or None."""
+def _check_truths(system: OrthonormalSystem, truths: Sequence[Optional[Signal]]) -> None:
+    """Truths are all None, or all Signals on the system's group."""
+    if not (
+        all(t is None for t in truths) or all(isinstance(t, Signal) and t.group == system.group for t in truths)
+    ):
+        raise ValueError(f"truths must be all None or all Signals on {system.group}")
+
+
+def _solve_stacks(
+    system: OrthonormalSystem, config: RecoveryConfig, problems: Iterable[tuple]
+) -> Iterator[RecoveryResult]:
+    """The results of (sample, values, fidelity radius, truth) problems, solved
+    a stack at a time with ``config``'s max_iterations, step and tolerance as
+    they are taken from ``problems``: memory does not grow with their number.
+    Each (sample, values, radius) row is checked as its stack is packed; the
+    callers check that the truths are all None or all Signals on the group."""
     stack_type = _AndersonStack if system.size >= _ANDERSON_MIN_SIZE else _Stack
     # An Anderson row also holds 2 * _MEMORY secant vectors and its accepted
     # pair, about 3.2 times the arrays of a plain row, so its stacks hold a
@@ -417,18 +443,19 @@ def _solve_stacks(system: OrthonormalSystem, problems: Iterable[tuple]) -> Itera
     per_stack = max(1, _STACK_ENTRIES // (system.size * (4 if stack_type is _AndersonStack else 1)))
     problems = iter(problems)
     while stack := list(itertools.islice(problems, per_stack)):
-        samples, ys, configs, truths = zip(*stack)
-        max_iterations, step, tolerance = configs[0].max_iterations, configs[0].step, configs[0].tolerance
+        samples, ys, radii, truths = zip(*stack)
         count = len(stack)
         mask, y_ext = _pack(system, samples, ys)
-        sigma = np.array([cfg.fidelity_radius for cfg in configs])
+        sigma = np.array(radii)
+        if not (sigma >= 0).all():  # NaN too, as from a sweep's eps = inf on a zero signal
+            raise ValueError("fidelity radius must be nonnegative")
 
         best = np.empty((count, system.size), dtype=np.complex128)
-        iterations = np.full(count, max_iterations)
+        iterations = np.full(count, config.max_iterations)
         converged = np.zeros(count, dtype=bool)
         active = stack_type(system, np.arange(count), mask, y_ext, sigma, system._analyze_array(y_ext))
-        for it in range(1, max_iterations + 1):
-            n_stopped = active.step(step, tolerance)
+        for it in range(1, config.max_iterations + 1):
+            n_stopped = active.step(config.step, config.tolerance)
             if n_stopped:
                 stopped, rows = active.stopped, active.rows
                 best[rows[stopped]] = active.shrunk[stopped]
@@ -447,7 +474,7 @@ def _solve_stacks(system: OrthonormalSystem, problems: Iterable[tuple]) -> Itera
         rel_err = [None] * count
         if truths[0] is not None:
             err = _Norms(recovered - np.stack([t.values for t in truths]))()
-            rel_err = [float(e) / t.l2 if t.l2 > 0 else None for e, t in zip(err, truths)]
+            rel_err = [float(e) / l2 if l2 > 0 else None for e, l2 in zip(err, (t.l2 for t in truths))]
         yield from (
             RecoveryResult(
                 recovered=Signal(system.group, recovered[i]),
