@@ -248,7 +248,7 @@ def rd_decode(descriptor: Descriptor | bytes) -> Signal:
     return system.synthesize(entries)
 
 
-@refuses_overflow
+@refuses_overflow()
 def rd_bit_bound(r: float, eps: float, M: int, C0: float = 1.0, C1: float = 1.0) -> float:
     """Two-term description-length bound C0 (r/eps)^2 L^2 log M + C1 (r/eps)^2 L^3.
 
@@ -261,7 +261,7 @@ def rd_bit_bound(r: float, eps: float, M: int, C0: float = 1.0, C1: float = 1.0)
     return C0 * base * L**2 * math.log(M) + C1 * base * L**3
 
 
-@refuses_overflow
+@refuses_overflow()
 def rd_bit_bound_gabor(r: float, eps: float, N: int, T: int, C0: float = 1.0, C1: float = 1.0) -> float:
     """Variant of the bound for block time-frequency domains: the second term
     carries L^2 log(1/eps) instead of L^3, with M = N*T."""

@@ -120,16 +120,8 @@ class Signal:
         object.__setattr__(self, "values", _as_complex_vector(self.values, self.group.size))
 
     @property
-    def l1(self) -> float:
-        return float(np.sum(np.abs(self.values)))
-
-    @property
     def l2(self) -> float:
         return l2_norm(self.values)
-
-    @property
-    def linf(self) -> float:
-        return float(np.max(np.abs(self.values))) if self.values.size else 0.0
 
     @property
     def is_nonzero(self) -> bool:
@@ -147,9 +139,6 @@ class CoefficientVector:
         arr = np.asarray(self.entries, dtype=np.complex128).reshape(-1).copy()
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
-
-    def __len__(self) -> int:
-        return int(self.entries.shape[0])
 
     @property
     def l1(self) -> float:

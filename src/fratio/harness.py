@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .ratio import fourier_ratio
-from .recovery import RecoveryConfig, _solve_stacks, bernoulli_sample, restrict
+from .recovery import RecoveryConfig, _solve_stacks, bernoulli_sample, check_fidelity_radius, restrict
 from .recovery import recover_l1  # noqa: F401  (perfbench's traced run wraps this name)
 from .signals import generate_signal
 from .systems import OrthonormalSystem, parse_system
@@ -108,8 +108,7 @@ def run_phase_sweep(config: PhaseSweepConfig) -> PhaseSweepReport:
         raise ValueError("p values must lie in (0, 1]")
     if config.trials < 1:
         raise ValueError("phase sweep needs at least one trial")
-    if not config.eps >= 0:  # NaN too
-        raise ValueError("fidelity radius must be nonnegative")
+    check_fidelity_radius(config.eps)
     threshold = config.threshold if config.threshold is not None else success_threshold(config.eps)
     system = parse_system(config.system)
     grid = [

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import functools
+import inspect
 import math
 from dataclasses import dataclass
 
@@ -44,24 +45,29 @@ def check_bound_args(r: float, eps: float, M: int) -> None:
         raise ValueError("M must be >= 2")
 
 
-def refuses_overflow(bound):
-    """Wrap a bound of (r, eps, ...) so that a value past float64 is a ValueError.
+def refuses_overflow(message: str = "the bound overflows at r={r}, eps={eps}"):
+    """Wrap a closed-form bound so that a value past float64 is a ValueError
+    with ``message``, formatted with the bound's arguments by name.
 
-    Python's float power raises OverflowError, and a product overflows to inf
-    silently; both become the one refusal the covering bounds make.
+    Python's float power and ``math.ceil`` of inf raise OverflowError, and a
+    product overflows to inf silently; both become the one refusal.
     """
 
-    @functools.wraps(bound)
-    def checked(r: float, eps: float, *args, **kwargs) -> float:
-        try:
-            value = bound(r, eps, *args, **kwargs)
-        except OverflowError:  # from a power
-            value = math.inf
-        if not math.isfinite(value):
-            raise ValueError(f"the bound overflows at r={r}, eps={eps}")
-        return value
+    def wrap(bound):
+        @functools.wraps(bound)
+        def checked(*args, **kwargs):
+            try:
+                value = bound(*args, **kwargs)
+            except OverflowError:
+                value = math.inf
+            # a bound that returns integer grid sizes overflows only by raising
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(message.format(**inspect.signature(bound).bind(*args, **kwargs).arguments))
+            return value
 
-    return checked
+        return checked
+
+    return wrap
 
 
 @dataclass(frozen=True)

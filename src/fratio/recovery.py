@@ -252,15 +252,16 @@ class _AndersonStack(_Stack):
     """A stack whose next point is the type-II Anderson extrapolation of the
     Douglas-Rachford map T (Walker & Ni 2011; Fu, Zhang & Boyd 2020).
 
-    Each step evaluates T at z as the plain stack does, with the same stop
-    rule and thresholded iterate.  A row whose residual f = T(z) - z is no
-    larger than at its last accepted point accepts z: the secant pair (change
-    in f, change in T) joins a ring of _MEMORY pairs and the next point is
-    T(z) - dG gamma, with gamma the least-squares fit of f by the dF ring.  A
-    row whose residual grew, or is not finite, goes back to the plain image T
-    of its accepted point with an empty ring, and that point stays the partner
-    of its next secant pair.  Every operation is per row, so a row runs the same steps
-    whatever else is in its stack.
+    Each step evaluates T at z as the plain stack does, with the same
+    thresholded iterate and stop rule, but a row stops only at a point it
+    accepts.  A row whose residual f = T(z) - z is no larger than at its last
+    accepted point accepts z: the secant pair (change in f, change in T) joins
+    a ring of _MEMORY pairs and the next point is T(z) - dG gamma, with gamma
+    the least-squares fit of f by the dF ring.  A row whose residual grew, or
+    is not finite, goes back to the plain image T of its accepted point with
+    an empty ring, and that point stays the partner of its next secant pair.
+    Every operation is per row, so a row runs the same steps whatever else is
+    in its stack.
     """
 
     def __init__(self, system: OrthonormalSystem, rows, mask, y, sigma, z):
@@ -275,10 +276,12 @@ class _AndersonStack(_Stack):
         self.evaluations = 0
 
     def step(self, lam: float, tolerance: float) -> int:
-        n_stopped = super().step(lam, tolerance)
+        super().step(lam, tolerance)
         self.evaluations += 1
         f, g, norms = self.current
         accept = np.less_equal(norms.rows[0], self.accepted_residual, out=self.accept)
+        # a rejected point's bound grows with its blown-up extrapolation, so only accepted points stop
+        n_stopped = np.count_nonzero(np.logical_and(self.stopped, accept, out=self.stopped))
         d_f, d_g = self.history.view(np.float64)  # complex pairs as float64, (B, m, 2M) each
         slot = self.evaluations % _MEMORY
         if self.evaluations > 1:  # the first point has no partner
@@ -341,8 +344,13 @@ class RecoveryConfig:
             raise ValueError("tolerance must be positive")
         if not self.step > 0:
             raise ValueError("step must be positive")
-        if not self.fidelity_radius >= 0:
-            raise ValueError("fidelity radius must be nonnegative")
+        check_fidelity_radius(self.fidelity_radius)
+
+
+def check_fidelity_radius(sigma) -> None:
+    """A fidelity radius, or an array of them, is finite and >= 0; NaN fails too."""
+    if not np.all((0 <= sigma) & (sigma < math.inf)):
+        raise ValueError("fidelity radius must be nonnegative and finite")
 
 
 @dataclass(frozen=True)
@@ -447,8 +455,7 @@ def _solve_stacks(
         count = len(stack)
         mask, y_ext = _pack(system, samples, ys)
         sigma = np.array(radii)
-        if not (sigma >= 0).all():  # NaN too, as from a sweep's eps = inf on a zero signal
-            raise ValueError("fidelity radius must be nonnegative")
+        check_fidelity_radius(sigma)  # eps * ||f||_2 is NaN where ||f||_2 overflows at eps = 0
 
         best = np.empty((count, system.size), dtype=np.complex128)
         iterations = np.full(count, config.max_iterations)
@@ -489,7 +496,7 @@ def _solve_stacks(
         )
 
 
-@refuses_overflow
+@refuses_overflow()
 def sample_complexity(r: float, eps: float, M: int, tau: float, C: float = 1.0) -> float:
     """Threshold on p*M for stable recovery, with the (tau sqrt(M))^2 system scaling.
 

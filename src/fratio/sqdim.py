@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .groups import Signal, _unit_scaled
-from .ratio import check_ratio_bound, fourier_ratio
+from .ratio import check_ratio_bound, fourier_ratio, refuses_overflow
 from .systems import OrthonormalSystem
 
 # Entries per sq_mse stack, counted over the wider of the (rows, k) draws and
@@ -288,14 +288,15 @@ def _check_covering_args(M: int, tau: float, r: float) -> None:
     check_ratio_bound(r)
 
 
+_covering_overflow = refuses_overflow("the covering quantities overflow at M={M}, tau={tau}, r={r}")
+
+
+@_covering_overflow
 def covering_params(M: int, tau: float, r: float) -> CoveringParams:
     _check_covering_args(M, tau, r)
-    try:
-        k = math.ceil(16**2 * M * tau**2 * r**2)
-        N2 = math.ceil(16 * tau * r * math.sqrt(M))
-        N1 = math.ceil(16 * tau * k)
-    except OverflowError:  # from a power, or from ceil of an infinite product
-        raise ValueError(f"the covering quantities overflow at M={M}, tau={tau}, r={r}") from None
+    k = math.ceil(16**2 * M * tau**2 * r**2)
+    N2 = math.ceil(16 * tau * r * math.sqrt(M))
+    N1 = math.ceil(16 * tau * k)
     return CoveringParams(M=M, tau=tau, r=r, k=k, N1=N1, N2=N2)
 
 
@@ -320,22 +321,19 @@ def quantize_functional(P: RandomFunctional, params: CoveringParams) -> RandomFu
 
 def quantizer_deviation_bound(params: CoveringParams, k: int) -> float:
     """Sup-norm budget tau k ((r sqrt(M)/k)/N2 + 1/N1 + 1/(N1 N2))."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
     a_max = params.r * math.sqrt(params.M) / k
     return params.tau * k * (a_max / params.N2 + 1.0 / params.N1 + 1.0 / (params.N1 * params.N2))
 
 
+@_covering_overflow
 def sq_dim_log2(M: int, tau: float, r: float) -> float:
     """log2 of M^E (16^3 tau^3 M r^2 + 1) (16 tau r sqrt(M))^E with E = 16^2 M tau^2 r^2.
 
     Evaluated in log space; a ValueError where even that overflows.
     """
     _check_covering_args(M, tau, r)
-    try:
-        E = 16**2 * M * tau**2 * r**2
-        middle = 16**3 * tau**3 * M * r**2 + 1.0
-        value = E * math.log2(M) + math.log2(middle) + E * math.log2(16 * tau * r * math.sqrt(M))
-    except OverflowError:  # from a power
-        value = math.inf
-    if not math.isfinite(value):
-        raise ValueError(f"the covering quantities overflow at M={M}, tau={tau}, r={r}")
-    return value
+    E = 16**2 * M * tau**2 * r**2
+    middle = 16**3 * tau**3 * M * r**2 + 1.0
+    return E * math.log2(M) + math.log2(middle) + E * math.log2(16 * tau * r * math.sqrt(M))

@@ -108,3 +108,20 @@ def test_accelerated_rows_do_not_depend_on_the_batch(monkeypatch, spec):
     for i, ref in alone.items():
         for batch in batches:
             assert _same(batch[i], ref)
+
+
+@pytest.mark.parametrize("seed, i", [(509, 707), (3, 1787)])
+def test_a_row_stops_only_at_a_point_it_accepts(seed, i):
+    # recover-4k ops where a rejected extrapolation met the stop rule: its bound
+    # tol * max(1, ||T(z)||) had grown with the blown-up point, and the row
+    # returned ||c||_1 of about 1e11 against the truth's 10
+    system = parse_system("haar:4096")
+    f = generate_signal(system, "sparse:10", seed=derive_seed(seed, i, 0))
+    sample = bernoulli_sample(system.group, 0.5, derive_seed(seed, i, 1))
+    y = restrict(f.values, sample)
+    config = RecoveryConfig()
+    result = recover_l1(system, sample, y, config, truth=f)
+    assert result.converged
+    assert result.fidelity_residual <= config.fidelity_radius + config.tolerance * max(1.0, np.linalg.norm(y))
+    # eps = 0 and the truth is feasible, so the l1 minimum is at most its norm
+    assert result.coefficient_l1 <= system.analyze(f).l1

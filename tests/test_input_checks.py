@@ -13,7 +13,7 @@ from fratio.cli import main
 from fratio.codec import Descriptor, rd_bit_bound, rd_bit_bound_gabor
 from fratio.recovery import RecoveryConfig, bernoulli_sample, project_fidelity, sample_complexity, soft_threshold
 from fratio.signals import read_signal
-from fratio.sqdim import covering_params, sq_dim_log2
+from fratio.sqdim import covering_params, quantizer_deviation_bound, sq_dim_log2
 
 _EMPTY = np.array([], dtype=np.int64)
 
@@ -129,6 +129,11 @@ class TestCoveringArgs:
             with pytest.raises(ValueError, match=message):
                 bound(*args)
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_the_deviation_bound_refuses_k_below_1(self, k):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            quantizer_deviation_bound(covering_params(16, 0.25, 1.0), k)
+
     def test_both_bounds_accept_tau_at_its_floor(self):
         M = 16
         tau = M**-0.5
@@ -172,6 +177,10 @@ class TestSolverSettings:
     def test_nan_settings_are_refused(self, field):
         with pytest.raises(ValueError):
             RecoveryConfig(**{field: math.nan})
+
+    def test_an_infinite_fidelity_radius_is_refused(self):
+        with pytest.raises(ValueError, match="fidelity radius must be nonnegative and finite"):
+            RecoveryConfig(fidelity_radius=math.inf)
 
     def test_nan_threshold_is_refused(self):
         with pytest.raises(ValueError):

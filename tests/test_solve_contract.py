@@ -51,7 +51,7 @@ class TestTruths:
 
 
 class TestSweepEps:
-    @pytest.mark.parametrize("eps", [-0.1, math.nan, -math.inf])
+    @pytest.mark.parametrize("eps", [-0.1, math.nan, -math.inf, math.inf])
     def test_sweep_refuses_eps_before_it_solves(self, eps, monkeypatch):
         def no_solve(*args):
             raise AssertionError("nothing is solved before eps is checked")
@@ -60,7 +60,7 @@ class TestSweepEps:
         with pytest.raises(ValueError, match="fidelity radius must be nonnegative"):
             run_phase_sweep(PhaseSweepConfig(system="dft:16", trials=2, eps=eps))
 
-    @pytest.mark.parametrize("eps", ["-0.1", "nan"])
+    @pytest.mark.parametrize("eps", ["-0.1", "nan", "inf"])
     def test_phase_cli_exits_2(self, eps, capsys):
         with pytest.raises(SystemExit) as info:
             main(["phase", "--system", "dft:16", "--trials", "2", "--eps", eps])
@@ -68,6 +68,14 @@ class TestSweepEps:
         err = capsys.readouterr().err
         assert "fratio phase: error: fidelity radius must be nonnegative" in err
         assert "Traceback" not in err
+
+    def test_recover_cli_refuses_an_infinite_eps(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["recover", "--system", "dft:16", "--eps", "inf"])
+        assert info.value.code == 2
+        out, err = capsys.readouterr()
+        assert "fratio recover: error: fidelity radius must be nonnegative and finite" in err
+        assert "Traceback" not in err and out == ""
 
 
 def test_parser_defaults_are_the_config_fields():
@@ -107,4 +115,19 @@ def test_a_nan_radius_from_an_infinite_eps_on_a_zero_signal_is_refused(tmp_path)
     path.write_text("16\n" + "".join(f"{i} 0 0\n" for i in range(16)))
     config = PhaseSweepConfig(system="dft:16", signal=f"file:{path}", p_values=(1.0,), trials=1, eps=math.inf)
     with pytest.raises(ValueError, match="fidelity radius must be nonnegative"):
+        run_phase_sweep(config)
+
+
+def test_a_nan_radius_from_an_overflowing_norm_is_refused_before_any_solve(tmp_path, monkeypatch):
+    # ||f||_2 overflows to inf, so the radius eps * ||f||_2 at eps = 0 is NaN;
+    # only the stack loop's own check sees it
+    path = tmp_path / "huge.txt"
+    path.write_text("16\n" + "".join(f"{i} {1.7e308 if i < 2 else 0} 0\n" for i in range(16)))
+
+    def no_step(*args):
+        raise AssertionError("nothing is solved before the radii are checked")
+
+    monkeypatch.setattr(recovery._Stack, "step", no_step)
+    config = PhaseSweepConfig(system="dft:16", signal=f"file:{path}", p_values=(1.0,), trials=1, eps=0.0)
+    with pytest.raises(ValueError, match="fidelity radius must be nonnegative and finite"):
         run_phase_sweep(config)
