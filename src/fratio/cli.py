@@ -4,10 +4,11 @@ Subcommands: fr, recover, phase, localize, rdcodec, sqdim, erasure.
 Reports are deterministic functions of the arguments: JSON, or CSV for the
 phase sweep with --format csv (no other subcommand takes --format).  Every
 subcommand takes --seed and --out; only phase, sqdim and erasure take
---trials, and only phase takes --jobs.  A JSON config file may supply
-defaults; explicit flags win.  A bad flag, config value or input is a usage
-error: ``fratio <cmd>: error: ...`` and exit 2.  A closed stdout ends the
-command quietly with exit 1.
+--trials, and only phase takes --jobs, which it ignores: the sweep runs in
+one process, so its report is the same at every --jobs.  A JSON config file
+may supply defaults; explicit flags win.  A bad flag, config value or input
+is a usage error: ``fratio <cmd>: error: ...`` and exit 2.  A closed stdout
+ends the command quietly with exit 1.
 """
 from __future__ import annotations
 
@@ -100,7 +101,6 @@ def cmd_phase(args) -> None:
         master_seed=args.seed,
         eps=args.eps,
         max_iterations=args.max_iterations,
-        jobs=args.jobs,
     )
     start = time.perf_counter()
     report = run_phase_sweep(config)
@@ -205,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iterations", type=int, default=PhaseSweepConfig.max_iterations)
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--trials", type=int, default=PhaseSweepConfig.trials)
-    p.add_argument("--jobs", type=int, default=PhaseSweepConfig.jobs)
+    p.add_argument("--jobs", type=int, default=1, help="ignored: the sweep runs in one process, a stack at a time")
     _add_common(p)
     p.set_defaults(func=cmd_phase)
 

@@ -241,10 +241,9 @@ def rd_decode(descriptor: Descriptor | bytes) -> Signal:
     if not from_bytes:
         descriptor._header()  # serialize's checks, which deserialize makes on a stream
     entries = np.zeros(system.size, dtype=np.complex128)
-    if descriptor.k:
-        entries[descriptor.support] = (
-            descriptor.q_re.astype(np.float64) + 1j * descriptor.q_im.astype(np.float64)
-        ) * descriptor.delta
+    entries[descriptor.support] = (
+        descriptor.q_re.astype(np.float64) + 1j * descriptor.q_im.astype(np.float64)
+    ) * descriptor.delta
     return system.synthesize(entries)
 
 
@@ -262,10 +261,10 @@ def rd_bit_bound(r: float, eps: float, M: int, C0: float = 1.0, C1: float = 1.0)
 
 
 @refuses_overflow()
-def rd_bit_bound_gabor(r: float, eps: float, N: int, T: int, C0: float = 1.0, C1: float = 1.0) -> float:
-    """Variant of the bound for block time-frequency domains: the second term
-    carries L^2 log(1/eps) instead of L^3, with M = N*T."""
+def rd_bit_bound_gabor(r: float, eps: float, N: int, T: int) -> float:
+    """Variant of the bound for block time-frequency domains (both constants 1):
+    the second term carries L^2 log(1/eps) instead of L^3, with M = N*T."""
     check_bound_args(r, eps, N * T)
     L = max(1.0, math.log(r / eps))
     base = (r / eps) ** 2
-    return C0 * base * L**2 * math.log(N * T) + C1 * base * L**2 * math.log(1.0 / eps)
+    return base * L**2 * math.log(N * T) + base * L**2 * math.log(1.0 / eps)

@@ -16,8 +16,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import __version__
-from .ratio import fourier_ratio
-from .recovery import RecoveryConfig, _solve_stacks, bernoulli_sample, check_fidelity_radius, restrict
+from .ratio import fourier_ratio, soft_sparsify
+from .recovery import RecoveryConfig, _solve_stacks, bernoulli_sample, restrict
+from .recovery import check_fidelity_radius, check_keep_probability
 from .recovery import recover_l1  # noqa: F401  (perfbench's traced run wraps this name)
 from .signals import generate_signal
 from .systems import OrthonormalSystem, parse_system
@@ -31,8 +32,8 @@ def derive_seed(master: int, *indices: int) -> int:
     return int.from_bytes(hashlib.sha256(payload).digest()[:8], "big")
 
 
-def success_threshold(eps: float, constant: float = DEFAULT_ERROR_CONSTANT) -> float:
-    return max(constant * eps, 1e-5)
+def success_threshold(eps: float) -> float:
+    return max(DEFAULT_ERROR_CONSTANT * eps, 1e-5)
 
 
 @dataclass(frozen=True)
@@ -47,7 +48,6 @@ class PhaseSweepConfig:
     step: float = RecoveryConfig.step
     tolerance: float = RecoveryConfig.tolerance
     threshold: float | None = None
-    jobs: int = 1  # accepted for compatibility; the sweep runs in one process, a stack at a time
 
 
 @dataclass(frozen=True)
@@ -78,11 +78,8 @@ class PhaseSweepReport:
     code_version: str = __version__
 
     def to_json(self) -> str:
-        config = asdict(self.config)
-        # jobs has no effect and must not make otherwise-identical reports differ
-        config.pop("jobs", None)
         payload = {
-            "config": config,
+            "config": asdict(self.config),
             "records": [asdict(r) for r in self.records],
             "aggregates": list(self.aggregates),
             "code_version": self.code_version,
@@ -104,8 +101,8 @@ class PhaseSweepReport:
 def run_phase_sweep(config: PhaseSweepConfig) -> PhaseSweepReport:
     if not config.p_values:
         raise ValueError("phase sweep needs at least one p value")
-    if any(not 0.0 < p <= 1.0 for p in config.p_values):
-        raise ValueError("p values must lie in (0, 1]")
+    for p in config.p_values:
+        check_keep_probability(p)
     if config.trials < 1:
         raise ValueError("phase sweep needs at least one trial")
     check_fidelity_radius(config.eps)
@@ -158,10 +155,8 @@ def run_phase_sweep(config: PhaseSweepConfig) -> PhaseSweepReport:
     return PhaseSweepReport(config=config, records=tuple(records), aggregates=tuple(aggregates))
 
 
-def fr_report(system: OrthonormalSystem, f, etas=(0.1, 0.25, 0.5)) -> dict:
-    """FR of the coefficients plus sparsification summaries at a few etas."""
-    from .ratio import soft_sparsify
-
+def fr_report(system: OrthonormalSystem, f) -> dict:
+    """FR of the coefficients plus sparsification summaries at eta = 0.1, 0.25 and 0.5."""
     c = system.analyze(f)
     out = {
         "system": system.system_id,
@@ -170,7 +165,7 @@ def fr_report(system: OrthonormalSystem, f, etas=(0.1, 0.25, 0.5)) -> dict:
         "coefficient_l2": c.l2,
         "sparsify": [],
     }
-    for eta in etas:
+    for eta in (0.1, 0.25, 0.5):
         res = soft_sparsify(c, eta)
         out["sparsify"].append({"eta": eta, "s": res.s, "tail_l2": res.tail_l2, "tail_l1": res.tail_l1})
     return out

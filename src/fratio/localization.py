@@ -32,6 +32,8 @@ class ProductDecomposition:
 
     def __post_init__(self):
         d = len(self.group.factors)
+        if d < 2:
+            raise ValueError(f"a product decomposition needs at least two factors, but group {self.group} has {d}")
         if not 1 <= self.h_count <= d - 1:
             raise ValueError(f"h_count must leave both parts nonempty (1..{d - 1})")
 

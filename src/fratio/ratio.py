@@ -114,7 +114,7 @@ def soft_sparsify(c, eta: float) -> SparsifyResult:
     )
 
 
-def sorted_decay_check(c, slack: float = 1e-12) -> bool:
+def sorted_decay_check(c) -> bool:
     """Verify |c_(j)| <= FR(c) * ||c||_2 / j for the magnitude-sorted entries.
 
     Holds for every nonzero vector; exposed as a self-test oracle.
@@ -124,7 +124,7 @@ def sorted_decay_check(c, slack: float = 1e-12) -> bool:
     l2 = float(np.linalg.norm(v))
     mags = np.sort(np.abs(v))[::-1]
     j = np.arange(1, mags.shape[0] + 1)
-    return bool(np.all(mags * j <= r * l2 * (1.0 + slack)))
+    return bool(np.all(mags * j <= r * l2 * (1.0 + 1e-12)))
 
 
 def harmonic_model(M: int) -> np.ndarray:

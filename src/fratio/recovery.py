@@ -50,9 +50,14 @@ class SampleSet:
         return int(self.kept.shape[0])
 
 
-def bernoulli_sample(group: FiniteAbelianGroup, p: float, seed: int) -> SampleSet:
+def check_keep_probability(p: float) -> None:
+    """A keep probability lies in (0, 1]; NaN fails too."""
     if not 0.0 < p <= 1.0:
         raise ValueError(f"keep probability must lie in (0, 1], got {p}")
+
+
+def bernoulli_sample(group: FiniteAbelianGroup, p: float, seed: int) -> SampleSet:
+    check_keep_probability(p)
     rng = np.random.default_rng(seed)
     mask = rng.random(group.size) < p
     return SampleSet(group=group, kept=np.flatnonzero(mask), p=float(p), seed=int(seed))

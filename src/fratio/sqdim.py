@@ -111,13 +111,9 @@ def _unit_phases(g: np.ndarray, mags: np.ndarray) -> np.ndarray:
 def _edge_counts(cdf: np.ndarray, G: int) -> np.ndarray:
     """#{i : cdf[i] <= b/G} for the bucket edges b = 0..G of a sorted cdf.
 
-    Either G + 1 binary searches, O(G log M), or one bincount of
-    ceil(cdf G), O(M + G), whichever costs less; cdf * G is exact, G being a
-    power of two, so ceil(cdf[i] G) <= b exactly where cdf[i] <= b/G.
+    One bincount of ceil(cdf G), O(M + G); cdf * G is exact, G being a power
+    of two, so ceil(cdf[i] G) <= b exactly where cdf[i] <= b/G.
     """
-    M = cdf.shape[0]
-    if G * M.bit_length() < M:
-        return cdf.searchsorted(np.arange(G + 1) / G, side="right")
     return np.cumsum(np.bincount(np.ceil(cdf * G).astype(np.intp), minlength=G + 1))
 
 

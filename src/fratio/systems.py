@@ -258,8 +258,6 @@ class HaarSystem(OrthonormalSystem):
     @property
     def tau(self) -> float:
         M = self.size
-        if M == 1:
-            return 1.0
         n = M.bit_length() - 1
         # finest-scale wavelets have modulus 2^{(n-1)/2} / sqrt(M)
         finest = 2.0 ** ((n - 1) / 2.0) / math.sqrt(M)

@@ -159,7 +159,6 @@ def test_criterion_5_recovery_fixtures():
                 p_values=(0.25, 0.5, 0.75, 1.0),
                 trials=50,
                 master_seed=5,
-                jobs=4,
             )
         )
         rates = [a["success_rate"] for a in report.aggregates]

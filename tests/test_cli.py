@@ -6,6 +6,9 @@ import pytest
 
 from fratio import FiniteAbelianGroup, Signal, parse_system
 from fratio.cli import main
+from fratio.codec import rd_decode
+from fratio.harness import trial_inputs
+from fratio.recovery import RecoveryConfig, recover_l1
 from fratio.signals import generate_signal, random_signal, read_signal, write_signal
 
 
@@ -151,6 +154,28 @@ class TestSignalFiles:
         write_signal(path, f)
         payload = run_json(tmp_path, ["fr", "--system", "dft:16", "--signal", f"file:{path}"])
         assert payload["coefficient_l2"] == pytest.approx(f.l2)
+
+    def test_recover_saves_the_recovered_signal(self, tmp_path):
+        path = tmp_path / "recovered.txt"
+        argv = ["recover", "--system", "dft:32", "--signal", "sparse:2", "--p", "0.8", "--eps", "0.05", "--seed", "1"]
+        payload = run_json(tmp_path, [*argv, "--save-recovered", str(path)])
+        assert payload["recovered_path"] == str(path)
+        system = parse_system("dft:32")
+        f, sample, y, sigma = trial_inputs(system, "sparse:2", 0.8, 0.05, 1)
+        result = recover_l1(system, sample, y, RecoveryConfig(fidelity_radius=sigma), truth=f)
+        saved = read_signal(path)
+        assert saved.group == result.recovered.group
+        assert saved.values.tobytes() == result.recovered.values.tobytes()
+
+    def test_decode_saves_the_decoded_signal(self, tmp_path):
+        blob, path = tmp_path / "descriptor.bin", tmp_path / "decoded.txt"
+        encode = ["rdcodec", "encode", "--system", "gabor:N=8,T=4", "--signal", "random", "--seed", "6"]
+        run_json(tmp_path, [*encode, "--descriptor", str(blob)])
+        payload = run_json(tmp_path, ["rdcodec", "decode", "--descriptor", str(blob), "--save-decoded", str(path)])
+        decoded = rd_decode(blob.read_bytes())
+        saved = read_signal(path)
+        assert saved.group == decoded.group and payload["group"] == str(decoded.group)
+        assert saved.values.tobytes() == decoded.values.tobytes()
 
     def test_malformed_file_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"

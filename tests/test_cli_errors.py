@@ -32,6 +32,10 @@ class TestSubcommandErrors:
         err = usage_error(capsys, ["recover", "--system", "dft:16", "--p", "0"])
         assert "fratio recover: error: keep probability must lie in (0, 1]" in err
 
+    def test_a_split_of_a_one_factor_group(self, capsys):
+        err = usage_error(capsys, ["localize", "--system", "dft:4", "--split", "1"])
+        assert "fratio localize: error: a product decomposition needs at least two factors, but group 4 has 1" in err
+
     def test_missing_descriptor_file(self, capsys, tmp_path):
         missing = tmp_path / "missing.frrd"
         err = usage_error(capsys, ["rdcodec", "decode", "--descriptor", str(missing)])

@@ -38,6 +38,26 @@ class TestLengthsMatchK:
         assert np.array_equal(rd_decode(d).values, rd_decode(d.serialize()).values)
 
 
+class TestHeaderVarints:
+    def test_an_empty_factor_list_is_malformed(self):
+        with pytest.raises(MalformedStreamError, match="empty factor list"):
+            Descriptor.deserialize(MAGIC + bytes([VERSION]) + _varint(0))
+
+    def test_a_varint_past_64_bits_is_malformed(self):
+        with pytest.raises(MalformedStreamError, match="varint too long"):
+            Descriptor.deserialize(MAGIC + bytes([VERSION]) + b"\xff" * 10 + b"\x01")
+
+
+class TestFixedWidthCap:
+    def test_a_65_bit_field_is_not_written(self):
+        with pytest.raises(ValueError, match="fixed-width fields hold at most 64 bits, not 65"):
+            BitWriter().write_fixed_array([1], 65)
+
+    def test_a_65_bit_field_is_not_read(self):
+        with pytest.raises(ValueError, match="fixed-width fields hold at most 64 bits, not 65"):
+            BitReader(bytes(16)).read_fixed_array(1, 65)
+
+
 class TestChunkedWalk:
     @settings(max_examples=300, deadline=timedelta(seconds=2))
     @given(_reader_inputs())

@@ -1,7 +1,8 @@
 """Outside input is checked before it costs anything: the one domain-size cap
 (system specs, signal file headers, descriptor streams), flags that only the
 subcommand reading them accepts, the covering-bound arguments, the solver
-settings, sample sets and non-finite values."""
+settings, sample sets, non-finite values, the erasure arguments, signal specs
+and files, group indices and slice shapes."""
 import math
 
 import numpy as np
@@ -11,8 +12,16 @@ from fratio import FiniteAbelianGroup, ProductDecomposition, Signal, groups, loc
 from fratio.bitio import MalformedStreamError
 from fratio.cli import main
 from fratio.codec import Descriptor, rd_bit_bound, rd_bit_bound_gabor
-from fratio.recovery import RecoveryConfig, bernoulli_sample, project_fidelity, sample_complexity, soft_threshold
-from fratio.signals import read_signal
+from fratio.localization import reassemble
+from fratio.recovery import (
+    RecoveryConfig,
+    bernoulli_sample,
+    erasure_row_statistics,
+    project_fidelity,
+    sample_complexity,
+    soft_threshold,
+)
+from fratio.signals import generate_signal, read_signal, row_delta_signal, sparse_signal, write_signal
 from fratio.sqdim import covering_params, quantizer_deviation_bound, sq_dim_log2
 
 _EMPTY = np.array([], dtype=np.int64)
@@ -182,6 +191,10 @@ class TestSolverSettings:
         with pytest.raises(ValueError, match="fidelity radius must be nonnegative and finite"):
             RecoveryConfig(fidelity_radius=math.inf)
 
+    def test_zero_iterations_are_refused(self):
+        with pytest.raises(ValueError, match="max_iterations must be >= 1"):
+            RecoveryConfig(max_iterations=0)
+
     def test_nan_threshold_is_refused(self):
         with pytest.raises(ValueError):
             soft_threshold(np.ones(3, dtype=complex), math.nan)
@@ -249,3 +262,75 @@ class TestSampleSetProjection:
         sample = bernoulli_sample(system.group, 0.5, 1)
         with pytest.raises(ValueError, match="do not match"):
             project_fidelity(system, c, sample, np.ones(sample.count + 1), 0.0)
+
+
+class TestErasureArgs:
+    def test_e_max_below_1_is_refused(self):
+        with pytest.raises(ValueError, match="E_max must be >= 1"):
+            erasure_row_statistics(10, 2, 0.05, 0, 10, 0)
+
+    @pytest.mark.parametrize("N, T, trials", [(0, 2, 10), (10, 0, 10), (10, 2, 0)])
+    def test_counts_below_1_are_refused(self, N, T, trials):
+        with pytest.raises(ValueError, match="N, T, trials must be >= 1"):
+            erasure_row_statistics(N, T, 0.05, 2, trials, 0)
+
+
+class TestSignalInputs:
+    @pytest.mark.parametrize("s", [0, 17])
+    def test_a_sparsity_outside_the_domain_is_refused(self, s):
+        with pytest.raises(ValueError, match=f"sparsity must lie in 1..16, got {s}"):
+            sparse_signal(make_dft(FiniteAbelianGroup((16,))), s, seed=0)
+
+    def test_a_slice_length_that_does_not_divide_the_group_is_refused(self):
+        with pytest.raises(ValueError, match="slice length does not divide the group size"):
+            row_delta_signal(FiniteAbelianGroup((4, 3)), np.ones(5), 0)
+
+    @pytest.mark.parametrize("k0", [-1, 3])
+    def test_a_slice_index_outside_the_slices_is_refused(self, k0):
+        with pytest.raises(ValueError, match=r"slice index must lie in 0\.\.2"):
+            row_delta_signal(FiniteAbelianGroup((4, 3)), np.ones(4), k0)
+
+    @pytest.mark.parametrize("text", ["", "\n0 1.0 0.0\n"])
+    def test_a_file_without_a_header_line_is_refused(self, tmp_path, text):
+        path = tmp_path / "headless.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="missing factor header line"):
+            read_signal(path)
+
+    def test_a_file_on_another_group_is_refused(self, tmp_path):
+        path = tmp_path / "f16.txt"
+        write_signal(path, Signal(FiniteAbelianGroup((16,)), np.ones(16)))
+        with pytest.raises(ValueError, match="signal file group 16 does not match system group 4x4"):
+            generate_signal(parse_system("dft:4x4"), f"file:{path}")
+
+    def test_an_unknown_spec_is_refused(self):
+        with pytest.raises(ValueError, match="unknown signal spec 'chirp:3'"):
+            generate_signal(parse_system("dft:16"), "chirp:3")
+
+    def test_values_of_the_wrong_length_are_refused(self):
+        with pytest.raises(ValueError, match="expected 12 values, got 11"):
+            Signal(FiniteAbelianGroup((4, 3)), np.ones(11))
+
+
+class TestGroupIndices:
+    @pytest.mark.parametrize("index", [-1, 12])
+    def test_an_index_out_of_range_is_refused(self, index):
+        with pytest.raises(ValueError, match=f"index {index} out of range for group of size 12"):
+            FiniteAbelianGroup((4, 3)).index_to_tuple(index)
+
+    @pytest.mark.parametrize("element", [(1,), (1, 2, 0)])
+    def test_an_element_of_the_wrong_arity_is_refused(self, element):
+        with pytest.raises(ValueError, match="element arity does not match the factor list"):
+            FiniteAbelianGroup((4, 3)).tuple_to_index(element)
+
+
+class TestLocalizationInputs:
+    def test_slices_of_the_wrong_shape_are_refused(self):
+        d = ProductDecomposition(FiniteAbelianGroup((4, 3)), 1)
+        with pytest.raises(ValueError, match=r"expected shape \(3, 4\), got \(4, 3\)"):
+            reassemble(np.ones((4, 3)), d)
+
+    def test_an_unknown_transform_reading_is_refused(self):
+        group = FiniteAbelianGroup((4, 3))
+        with pytest.raises(ValueError, match="unknown transform reading 'columnwise'"):
+            localization_check(Signal(group, np.ones(12)), ProductDecomposition(group, 1), transform="columnwise")

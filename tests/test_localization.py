@@ -22,6 +22,17 @@ class TestDecomposition:
         with pytest.raises(ValueError):
             ProductDecomposition(g, 2)
 
+    @pytest.mark.parametrize("h_count", [0, 1, 2])
+    def test_a_one_factor_group_has_no_split(self, h_count):
+        with pytest.raises(ValueError, match="a product decomposition needs at least two factors, but group 4 has 1"):
+            ProductDecomposition(FiniteAbelianGroup((4,)), h_count)
+
+    @pytest.mark.parametrize("factors, h_count", [((4, 3), 2), ((4, 3, 2), 0), ((4, 3, 2), 3)])
+    def test_an_empty_part_names_the_valid_range(self, factors, h_count):
+        d = len(factors)
+        with pytest.raises(ValueError, match=rf"h_count must leave both parts nonempty \(1\.\.{d - 1}\)"):
+            ProductDecomposition(FiniteAbelianGroup(factors), h_count)
+
 
 class TestSlicing:
     def test_row_delta_slices(self):

@@ -1,6 +1,7 @@
 """The contract of the l1 stack loop: one solver config per solve, inputs
-checked where they enter (truths, the sweep's eps), each solver and sweep
-default written once, and Anderson compaction without a second secant ring."""
+checked where they enter (truths, the sweep's eps and p values), each solver
+and sweep default written once, and Anderson compaction without a second
+secant ring."""
 import math
 
 import numpy as np
@@ -78,6 +79,35 @@ class TestSweepEps:
         assert "Traceback" not in err and out == ""
 
 
+class TestSweepKeepProbability:
+    """The sweep checks every p with the rule bernoulli_sample applies, before any solve."""
+
+    @pytest.mark.parametrize(
+        "command, p, shown",
+        [("phase", "0", "0.0"), ("phase", "1.5", "1.5"), ("phase", "nan", "nan"), ("recover", "1.5", "1.5"),
+         ("recover", "nan", "nan")],
+    )
+    def test_cli_exits_2(self, command, p, shown, capsys):
+        with pytest.raises(SystemExit) as info:
+            main([command, "--system", "dft:16", "--p", p])
+        assert info.value.code == 2
+        out, err = capsys.readouterr()
+        assert f"fratio {command}: error: keep probability must lie in (0, 1], got {shown}" in err
+        assert "Traceback" not in err and out == ""
+
+    def test_a_late_bad_p_is_refused_before_the_first_solve(self, monkeypatch):
+        def no_solve(*args):
+            raise AssertionError("nothing is solved before p is checked")
+
+        monkeypatch.setattr("fratio.harness._solve_stacks", no_solve)
+        with pytest.raises(ValueError, match=r"keep probability must lie in \(0, 1\], got 0"):
+            run_phase_sweep(PhaseSweepConfig(system="dft:16", p_values=(0.5, 0), trials=2))
+
+    def test_no_p_value(self):
+        with pytest.raises(ValueError, match="phase sweep needs at least one p value"):
+            run_phase_sweep(PhaseSweepConfig(system="dft:16", p_values=()))
+
+
 def test_parser_defaults_are_the_config_fields():
     subcommands = _subcommands(build_parser())
     recover = {dest: action.default for dest, action in _flags(subcommands["recover"]).items()}
@@ -87,9 +117,7 @@ def test_parser_defaults_are_the_config_fields():
         assert recover[name] == getattr(solver, name) == getattr(sweep, name)
     assert phase["max_iterations"] == sweep.max_iterations
     assert (recover["signal"], recover["eps"]) == (sweep.signal, sweep.eps)
-    assert (phase["signal"], phase["eps"], phase["trials"], phase["jobs"]) == (
-        sweep.signal, sweep.eps, sweep.trials, sweep.jobs
-    )
+    assert (phase["signal"], phase["eps"], phase["trials"]) == (sweep.signal, sweep.eps, sweep.trials)
     assert tuple(float(p) for p in phase["p"].split(",")) == sweep.p_values
 
 

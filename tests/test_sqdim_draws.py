@@ -97,7 +97,7 @@ def test_bucket_count_is_a_bounded_power_of_two(M, draws, buckets):
 
 @pytest.mark.parametrize("M", [1, 5, 300, 5000])
 def test_edge_counts_count_the_cdf_points_at_each_edge(M):
-    # small G takes the binary searches, large G the bincount
+    # the bincount against a binary search of every edge, from G = 1 to G far above M
     weights = np.random.default_rng(M).random(M) ** 8
     weights[M // 3 : M // 2] = 0.0
     cdf = np.cumsum(weights / weights.sum())
