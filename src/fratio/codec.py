@@ -13,14 +13,12 @@ varints), the system code byte, k (varint), and big-endian float64 ||c||_2
 and eps.  The body is k support indices at ceil(log2 M) fixed bits each, then
 k (re, im) pairs of signed self-delimiting codes, then zero bits to a byte
 boundary; ``bitio`` packs and parses it in 64-bit words, in place and in
-memory that follows k, not the stream length.  The decoder rejects domains
-above MAX_DOMAIN_SIZE, non-finite floats, nonzero padding, trailing bytes and
-non-minimal varints and signed codes, so every accepted stream serializes back
-to itself.  The encoder refuses what the decoder would refuse: a domain above
-the cap, a non-finite float, and a k that is not the length of the support
-and codes, which would leave bytes the decoder calls trailing.  ``rd_decode``
-makes the same checks on a Descriptor it is handed.  The bit
-account counts the body in closed form, so rd_encode serializes nothing.
+memory that follows k, not the stream length.  A Descriptor checks its own
+fields when it is built, and the decoder reads a stream into one, so it
+refuses what the constructor refuses.  It also rejects nonzero padding,
+trailing bytes and non-minimal varints and signed codes, so every accepted
+stream serializes back to itself.  The bit account counts the body in closed
+form, so rd_encode serializes nothing.
 """
 from __future__ import annotations
 
@@ -45,49 +43,58 @@ _MAX_CODE = 2.0**53
 
 @dataclass(frozen=True)
 class Descriptor:
-    """Self-delimiting description of a quantized, sparsified coefficient vector."""
+    """Self-delimiting description of a quantized, sparsified coefficient vector.  The
+    constructor refuses (ValueError) fields that no stream can hold and builds ``system``."""
 
     factors: tuple[int, ...]
     label: str
-    k: int
     coeff_l2: float
     eps: float
     support: np.ndarray = field(repr=False)
     q_re: np.ndarray = field(repr=False)
     q_im: np.ndarray = field(repr=False)
+    system: OrthonormalSystem = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "system", system_on_group(self.label, FiniteAbelianGroup(check_domain_size(self.factors))))
+        if not (math.isfinite(self.coeff_l2) and math.isfinite(self.eps)):
+            raise ValueError("non-finite coefficient norm or eps")
+        arrays = (self.support, self.q_re, self.q_im)
+        if not all(isinstance(a, np.ndarray) and a.ndim == 1 and a.dtype.kind in "iu" and np.can_cast(a.dtype, np.int64) for a in arrays):
+            raise ValueError("support, q_re and q_im must be 1-D arrays of an integer type that int64 holds")
+        if len({a.size for a in arrays}) > 1:
+            raise ValueError("support, q_re and q_im differ in length")
+        M = self.system.size
+        if self.k > M or (self.k and not (0 <= self.support.min() and self.support.max() < M)):
+            raise ValueError(f"a support of k = {self.k} indices must have k <= {M} and each index in [0, {M})")
+
+    @property
+    def k(self) -> int:
+        return len(self.support)
 
     @property
     def group(self) -> FiniteAbelianGroup:
-        return FiniteAbelianGroup(self.factors)
+        return self.system.group
 
     @property
     def delta(self) -> float:
-        if self.k == 0:
-            return 0.0
-        return self.eps / (4.0 * math.sqrt(self.k)) * self.coeff_l2
+        return _quantization_step(self.eps, self.coeff_l2, self.k)
 
     def serialize(self) -> bytes:
-        header = self._header()
         body = BitWriter()
-        body.write_fixed_array(self.support, _index_bits(self.group.size))
+        body.write_fixed_array(self.support, _index_bits(self.system.size))
         body.write_signed_array(np.column_stack((self.q_re, self.q_im)))
-        return header + body.to_bytes()
+        return self._header() + body.to_bytes()
 
     def _header(self) -> bytes:
-        """The byte-aligned fields before the body; ValueError on a domain above the cap, a
-        non-finite float or a k that is not the length of the support and codes, which the
-        decoder would refuse."""
-        check_domain_size(self.factors)
-        if not (math.isfinite(self.coeff_l2) and math.isfinite(self.eps)):
-            raise ValueError("non-finite coefficient norm or eps")
-        if any(np.shape(a) != (self.k,) for a in (self.support, self.q_re, self.q_im)):
-            raise ValueError(f"k = {self.k} is not the length of the support, q_re and q_im")
+        """The byte-aligned fields before the body."""
         varints = b"".join(map(_varint, (len(self.factors), *self.factors)))
-        code = bytes([SYSTEMS[self.label].code])
+        code = bytes([self.system.code])
         return MAGIC + bytes([VERSION]) + varints + code + _varint(self.k) + struct.pack(">dd", self.coeff_l2, self.eps)
 
     @classmethod
     def deserialize(cls, data: bytes) -> "Descriptor":
+        """The stream's descriptor; the checks here bound the work before the body is read."""
         head = _ByteCursor(data)
         if head.take(4) != MAGIC:
             raise MalformedStreamError("bad magic")
@@ -100,25 +107,22 @@ class Descriptor:
         factors = tuple(head.varint() for _ in range(count))
         if any(n < 1 for n in factors):
             raise MalformedStreamError("invalid cyclic factor")
-        check_domain_size(factors, MalformedStreamError)
-        group = FiniteAbelianGroup(factors)
+        M = math.prod(check_domain_size(factors, MalformedStreamError))
         label_code = head.take(1)[0]
         if label_code not in _CODE_LABELS:
             raise MalformedStreamError(f"unknown system code {label_code}")
-        label = _CODE_LABELS[label_code]
         k = head.varint()
         coeff_l2, eps = struct.unpack(">dd", head.take(16))
-        if not (math.isfinite(coeff_l2) and math.isfinite(eps)):
-            raise MalformedStreamError("non-finite coefficient norm or eps")
-        if k > group.size:
+        if k > M:  # also stops a 0-bit index read on one point from reading k > 1 indices
             raise MalformedStreamError("support larger than the domain")
         body = BitReader(memoryview(data)[head.pos :])
-        support = body.read_fixed_array(k, _index_bits(group.size))
-        if np.any(support >= group.size):
-            raise MalformedStreamError("support index out of range")
+        support = body.read_fixed_array(k, _index_bits(M))
         q_re, q_im = body.read_signed_array(2 * k).reshape(k, 2).T.copy()
         body.check_end()
-        return cls(factors, label, k, coeff_l2, eps, support.astype(np.int64), q_re, q_im)
+        try:
+            return cls(factors, _CODE_LABELS[label_code], coeff_l2, eps, support.astype(np.int64), q_re, q_im)
+        except ValueError as exc:
+            raise MalformedStreamError(str(exc)) from None
 
 
 def _varint(value: int) -> bytes:
@@ -170,6 +174,11 @@ def _index_bits(M: int) -> int:
     return max(0, (M - 1).bit_length())
 
 
+def _quantization_step(eps: float, coeff_l2: float, k: int) -> float:
+    """delta = eps ||c||_2 / (4 sqrt(k)), and 0 for an empty support."""
+    return eps / (4.0 * math.sqrt(k)) * coeff_l2 if k else 0.0
+
+
 def _quantize_toward_zero(values: np.ndarray, delta: float) -> np.ndarray:
     """Nearest multiple of delta, exact half-steps rounded toward zero."""
     scaled = np.abs(values) / delta
@@ -189,7 +198,7 @@ def rd_encode(system: OrthonormalSystem, f: Signal, eps: float) -> tuple[Descrip
     support = sparse.support
     k = int(support.shape[0])
     coeff_l2 = float(c.l2)
-    delta = eps / (4.0 * math.sqrt(k)) * coeff_l2
+    delta = _quantization_step(eps, coeff_l2, k)
     kept = c.entries[support]
     if k and max(np.abs(kept.real).max(), np.abs(kept.imag).max()) > _MAX_CODE * delta:
         raise ValueError(f"eps={eps} is too small: its quantization codes would exceed 2^53, past exact float64 integers")
@@ -198,7 +207,6 @@ def rd_encode(system: OrthonormalSystem, f: Signal, eps: float) -> tuple[Descrip
     descriptor = Descriptor(
         factors=system.group.factors,
         label=system.label,
-        k=k,
         coeff_l2=coeff_l2,
         eps=float(eps),
         support=support,
@@ -211,35 +219,26 @@ def rd_encode(system: OrthonormalSystem, f: Signal, eps: float) -> tuple[Descrip
 
 def _account(d: Descriptor, r: float) -> BitAccount:
     """Exact bit counts of d's stream, with the body in closed form; header_bits includes the padding."""
-    support_bits = d.k * _index_bits(d.group.size)
+    support_bits = d.k * _index_bits(d.system.size)
     coefficient_bits = 2 * int(signed_widths(d.q_re).sum() + signed_widths(d.q_im).sum())
     total = 8 * len(d._header()) + 8 * -(-(support_bits + coefficient_bits) // 8)
     header_bits = total - support_bits - coefficient_bits
     # the two-term bound needs M >= 2; a one-point domain has no bound terms
-    M = d.group.size
-    bound_terms = {
-        "c0_term": rd_bit_bound(max(1.0, r), d.eps, M, C0=1.0, C1=0.0) if M >= 2 else None,
-        "c1_term": rd_bit_bound(max(1.0, r), d.eps, M, C0=0.0, C1=1.0) if M >= 2 else None,
-    }
+    M = d.system.size
+    c0_term, c1_term = _bound_terms(max(1.0, r), d.eps, M) if M >= 2 else (None, None)
     return BitAccount(
         header_bits=header_bits,
         support_bits=support_bits,
         coefficient_bits=coefficient_bits,
         total=total,
-        bound_terms=bound_terms,
+        bound_terms={"c0_term": c0_term, "c1_term": c1_term},
     )
 
 
 def rd_decode(descriptor: Descriptor | bytes) -> Signal:
-    from_bytes = isinstance(descriptor, (bytes, bytearray))
-    if from_bytes:
-        descriptor = Descriptor.deserialize(bytes(descriptor))
-    try:
-        system = system_on_group(descriptor.label, descriptor.group)
-    except ValueError as exc:
-        raise MalformedStreamError(f"{descriptor.label} descriptor: {exc}") from None
-    if not from_bytes:
-        descriptor._header()  # serialize's checks, which deserialize makes on a stream
+    if not isinstance(descriptor, Descriptor):
+        descriptor = Descriptor.deserialize(descriptor)
+    system = descriptor.system
     entries = np.zeros(system.size, dtype=np.complex128)
     entries[descriptor.support] = (
         descriptor.q_re.astype(np.float64) + 1j * descriptor.q_im.astype(np.float64)
@@ -247,17 +246,22 @@ def rd_decode(descriptor: Descriptor | bytes) -> Signal:
     return system.synthesize(entries)
 
 
+def _bound_terms(r: float, eps: float, M: int) -> tuple[float, float]:
+    """The two terms of rd_bit_bound: (r/eps)^2 L^2 log M and (r/eps)^2 L^3."""
+    check_bound_args(r, eps, M)
+    L = max(1.0, math.log(r / eps))
+    base = (r / eps) ** 2
+    return base * L**2 * math.log(M), base * L**3
+
+
 @refuses_overflow()
-def rd_bit_bound(r: float, eps: float, M: int, C0: float = 1.0, C1: float = 1.0) -> float:
-    """Two-term description-length bound C0 (r/eps)^2 L^2 log M + C1 (r/eps)^2 L^3.
+def rd_bit_bound(r: float, eps: float, M: int) -> float:
+    """Two-term description-length bound (r/eps)^2 L^2 log M + (r/eps)^2 L^3.
 
     L = log(r/eps) floored at 1; the decoder-program constant is reported
     separately as the fixed header size.
     """
-    check_bound_args(r, eps, M)
-    L = max(1.0, math.log(r / eps))
-    base = (r / eps) ** 2
-    return C0 * base * L**2 * math.log(M) + C1 * base * L**3
+    return sum(_bound_terms(r, eps, M))
 
 
 @refuses_overflow()

@@ -3,13 +3,16 @@ on stderr, exit status 2 and no traceback.  That covers errors raised by a
 subcommand (ValueError, MalformedStreamError, OSError) and a config file
 that is not a JSON object of valid flag values."""
 import json
+import struct
 
 import pytest
 
 from fratio import parse_system
 from fratio.cli import main
+from fratio.codec import MAGIC, VERSION
 from fratio.groups import Signal
 from fratio.signals import generate_signal, write_signal
+from fratio.systems import SYSTEMS
 
 
 def usage_error(capsys, argv) -> str:
@@ -40,6 +43,13 @@ class TestSubcommandErrors:
         missing = tmp_path / "missing.frrd"
         err = usage_error(capsys, ["rdcodec", "decode", "--descriptor", str(missing)])
         assert "fratio rdcodec: error:" in err and "missing.frrd" in err
+
+    def test_a_stream_whose_label_cannot_live_on_its_group(self, capsys, tmp_path):
+        # dft:6's stream with the haar code byte: one 6-point factor, k = 0
+        path = tmp_path / "haar6.frrd"
+        path.write_bytes(MAGIC + bytes([VERSION, 1, 6, SYSTEMS["haar"].code, 0]) + struct.pack(">dd", 1.0, 0.2))
+        err = usage_error(capsys, ["rdcodec", "decode", "--descriptor", str(path)])
+        assert "fratio rdcodec: error: haar needs one factor of power-of-two length, got 6" in err
 
     def test_an_eps_too_small_for_exact_codes(self, capsys):
         err = usage_error(capsys, ["rdcodec", "roundtrip", "--system", "dft:16", "--signal", "random", "--eps", "1e-160"])

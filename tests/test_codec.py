@@ -123,7 +123,6 @@ class TestCodecRoundtrip:
         descriptor = Descriptor(
             factors=(8,),
             label="dft",
-            k=0,
             coeff_l2=1.0,
             eps=0.2,
             support=np.array([], dtype=np.int64),

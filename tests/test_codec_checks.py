@@ -1,5 +1,7 @@
-"""The encoder writes only streams its decoder accepts, and the signed-code
-reader walks hostile sections in memory bounded by its jump-table chunk."""
+"""A Descriptor is refused when it is built unless it has a stream the decoder
+accepts, and the signed-code reader walks hostile sections in memory bounded
+by its jump-table chunk."""
+import math
 import struct
 import tracemalloc
 from datetime import timedelta
@@ -8,34 +10,101 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fratio import bitio
 from fratio.bitio import BitReader, BitWriter, MalformedStreamError
 from fratio.codec import MAGIC, VERSION, Descriptor, _varint, rd_decode
-from test_codec_format import _library_read_signed, _reader_inputs, _reference_read_signed
+from fratio.systems import SYSTEMS
+from test_codec_format import _library_read_signed, _reader_inputs, _reference_read_signed, _same
 
 
-def _descriptor(k, support=(0, 1, 2), q_re=(1, 2, 3), q_im=(0, 0, 0)):
-    return Descriptor((8,), "dft", k, 1.0, 0.2, support=np.array(support), q_re=np.array(q_re), q_im=np.array(q_im))
+def _descriptor(support=(0, 1, 2), q_re=(1, 2, 3), q_im=(0, 0, 0), factors=(8,), label="dft"):
+    return Descriptor(factors, label, 1.0, 0.2, support=np.array(support), q_re=np.array(q_re), q_im=np.array(q_im))
 
 
 class TestLengthsMatchK:
     @pytest.mark.parametrize(
         "fields",
-        [dict(k=2), dict(k=4), dict(k=3, support=(0, 1)), dict(k=3, q_re=(1, 2)), dict(k=3, q_im=(0, 0, 0, 0))],
+        [dict(support=(0, 1)), dict(support=(0, 1, 2, 3)), dict(q_re=(1, 2)), dict(q_im=(0, 0, 0, 0))],
     )
-    def test_serialize_and_decode_refuse_a_k_that_is_not_the_length(self, fields):
-        d = _descriptor(**fields)
-        with pytest.raises(ValueError, match=f"k = {d.k} is not the length of the support, q_re and q_im"):
-            d.serialize()
-        with pytest.raises(ValueError, match=f"k = {d.k} is not the length of the support, q_re and q_im"):
-            rd_decode(d)
+    def test_lengths_that_differ_are_refused_at_construction(self, fields):
+        with pytest.raises(ValueError, match="support, q_re and q_im differ in length"):
+            _descriptor(**fields)
 
     def test_a_consistent_descriptor_round_trips(self):
-        d = _descriptor(3)
+        d = _descriptor()
+        assert d.k == 3
         back = Descriptor.deserialize(d.serialize())
         assert back.serialize() == d.serialize()
         assert np.array_equal(rd_decode(d).values, rd_decode(d.serialize()).values)
+
+
+@pytest.mark.parametrize(
+    "fields,message",
+    [
+        (dict(factors=(6,), support=(7,), q_re=(1,), q_im=(0,)), r"each index in \[0, 6\)"),
+        (dict(support=(-1,), q_re=(1,), q_im=(0,)), r"each index in \[0, 8\)"),
+        (dict(factors=(6,), label="haar"), "haar needs one factor of power-of-two length"),
+        (dict(label="foo"), "unknown system label 'foo'"),
+        (dict(support=(0.0, 1.0, 2.0)), "integer type"),
+        (dict(q_re=(1.0, 2.0, 3.0)), "integer type"),
+        (dict(q_im=np.array([0, 0, 2**63], dtype=np.uint64)), "integer type that int64 holds"),
+        (dict(support=((0, 1, 2),)), "1-D arrays"),
+        (dict(factors=(2,), support=(0, 0, 1)), "k = 3 indices must have k <= 2"),
+        (dict(support=(0, 1)), "differ in length"),
+    ],
+    ids=["index 7 on 6", "index -1", "haar on 6", "label foo", "float support", "float codes", "uint64 codes",
+         "2-D support", "k 3 on 2", "lengths differ"],
+)
+def test_a_descriptor_with_no_stream_is_refused_at_construction(fields, message):
+    with pytest.raises(ValueError, match=message):
+        _descriptor(**fields)
+
+
+_DTYPES = st.sampled_from([np.int64, np.int8, np.uint32, np.uint64, np.float64, np.bool_])
+_FINITE = st.floats(-1e6, 1e6)
+_VALID = [((1,), "dft"), ((8,), "dft"), ((2, 3), "dft"), ((2,), "wht"), ((2, 2), "wht"), ((4, 4), "gabor"), ((8,), "haar")]
+
+
+@st.composite
+def _fields(draw):
+    """Descriptor fields: a label that lives on its group, finite floats and
+    int64 arrays of one length k with indices in [0, 8), which may repeat; or
+    each field from a wider range, arrays of any shape and type among them."""
+    wide = draw(st.booleans())
+    k = draw(st.integers(0, 5))
+
+    def array(elements):
+        exact = st.lists(elements, min_size=k, max_size=k).map(lambda v: np.array(v, dtype=np.int64))
+        shapes = hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=5)
+        return draw(exact | hnp.arrays(_DTYPES, shapes) if wide else exact)
+
+    floats = _FINITE | st.sampled_from([math.nan, math.inf, -math.inf]) if wide else _FINITE
+    group_and_label = st.tuples(st.sampled_from([g for g, _ in _VALID]), st.sampled_from([*SYSTEMS, "foo"]))
+    factors, label = draw(group_and_label if wide else st.sampled_from(_VALID))
+    return dict(
+        factors=factors,
+        label=label,
+        coeff_l2=draw(floats),
+        eps=draw(floats),
+        support=array(st.integers(-1, 8) if wide else st.integers(0, 7)),
+        q_re=array(st.integers(-(2**63), 2**63 - 1)),
+        q_im=array(st.integers(-(2**63), 2**63 - 1)),
+    )
+
+
+@settings(max_examples=400, deadline=timedelta(seconds=2))
+@given(_fields())
+def test_a_descriptor_is_refused_or_round_trips(fields):
+    try:
+        d = Descriptor(**fields)
+    except ValueError:
+        return
+    blob = d.serialize()
+    assert _same(Descriptor.deserialize(blob), d)
+    assert rd_decode(d).values.tobytes() == rd_decode(blob).values.tobytes()
 
 
 class TestHeaderVarints:

@@ -30,16 +30,17 @@ HANDMADE = [case for case in PINNED if "encode" not in case]
 
 
 def _descriptor(case) -> Descriptor:
-    return Descriptor(
+    d = Descriptor(
         factors=tuple(case["factors"]),
         label=case["label"],
-        k=case["k"],
         coeff_l2=float.fromhex(case["coeff_l2"]),
         eps=float.fromhex(case["eps"]),
         support=np.array(case["support"], dtype=np.int64),
         q_re=np.array(case["q_re"], dtype=np.int64),
         q_im=np.array(case["q_im"], dtype=np.int64),
     )
+    assert d.k == case["k"]
+    return d
 
 
 def _same(a: Descriptor, b: Descriptor) -> bool:
@@ -193,9 +194,8 @@ class TestHostileStreams:
 
     def test_no_stream_is_written_for_a_domain_above_the_cap(self):
         empty = np.array([], dtype=np.int64)
-        d = Descriptor((2, MAX_DOMAIN_SIZE), "gabor", 0, 1.0, 0.2, empty, empty, empty)
-        with pytest.raises(ValueError):
-            d.serialize()
+        with pytest.raises(ValueError, match="cap"):
+            Descriptor((2, MAX_DOMAIN_SIZE), "gabor", 1.0, 0.2, empty, empty, empty)
 
     @pytest.mark.parametrize("field", ["coeff_l2", "eps"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -204,14 +204,16 @@ class TestHostileStreams:
         with pytest.raises(MalformedStreamError):
             Descriptor.deserialize(blob)
         empty = np.array([], dtype=np.int64)
-        d = Descriptor((8,), "dft", 0, **{"coeff_l2": 1.0, "eps": 0.2, field: value}, support=empty, q_re=empty, q_im=empty)
         with pytest.raises(ValueError, match="non-finite"):
-            d.serialize()
+            Descriptor((8,), "dft", **{"coeff_l2": 1.0, "eps": 0.2, field: value}, support=empty, q_re=empty, q_im=empty)
 
     @pytest.mark.parametrize("label_code,factors", [(1, (2, 3)), (2, (8,)), (3, (4, 4)), (3, (6,))])
     def test_label_that_cannot_live_on_the_group_is_malformed(self, label_code, factors):
+        blob = _header(factors, label_code).to_bytes()
         with pytest.raises(MalformedStreamError):
-            rd_decode(_header(factors, label_code).to_bytes())
+            Descriptor.deserialize(blob)
+        with pytest.raises(MalformedStreamError):
+            rd_decode(blob)
 
     def test_trailing_bytes_rejected(self):
         blob = bytes.fromhex(PINNED[0]["stream"])

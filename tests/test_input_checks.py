@@ -66,7 +66,7 @@ class TestDomainCap:
         assert read_signal(path).group.size == 64
 
     def test_decoder_refuses_a_domain_above_the_cap(self, monkeypatch):
-        blob = Descriptor((9, 9), "dft", 0, 1.0, 0.2, _EMPTY, _EMPTY, _EMPTY).serialize()
+        blob = Descriptor((9, 9), "dft", 1.0, 0.2, _EMPTY, _EMPTY, _EMPTY).serialize()
         assert Descriptor.deserialize(blob).group.size == 81
         monkeypatch.setattr(groups, "MAX_DOMAIN_SIZE", 64)
         with pytest.raises(MalformedStreamError, match="cap"):
@@ -74,7 +74,7 @@ class TestDomainCap:
 
     def test_no_stream_is_written_above_the_cap(self, cap_64):
         with pytest.raises(ValueError, match="cap"):
-            Descriptor((9, 9), "dft", 0, 1.0, 0.2, _EMPTY, _EMPTY, _EMPTY).serialize()
+            Descriptor((9, 9), "dft", 1.0, 0.2, _EMPTY, _EMPTY, _EMPTY)
 
     def test_check_stops_at_the_first_product_above_the_cap(self):
         def factors():
