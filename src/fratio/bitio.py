@@ -1,16 +1,18 @@
 """Bit-level stream I/O for the bit-packed body of the descriptor format.
 
-The body is a run of unsigned fields of 1 to 64 bits, MSB first.  An integer
-is one fixed-width field or a self-delimiting signed code of two width-w
-fields: the unary prefix 2^w - 2 (w - 1 ones then a zero) and the minimal-width
-two's-complement payload.  Each value has exactly one code: the reader rejects
-signed codes wider than their value needs.  Both directions work on 64-bit
-words, not on arrays of one entry per bit.  ``to_bytes`` packs every field at
-once, ORing it into the word of its first bit and spilling the rest into the
-next word.  The reader reads a field as the 64 bits from its first bit,
-turns into words only the bits its fields can occupy, and finds signed codes
-through jump tables of a few thousand words at a time, so its memory follows
-the count read and not the stream length.
+The body is a run of unsigned fields, MSB first.  An integer is one
+fixed-width field of up to 64 bits or a self-delimiting signed code of 2w
+bits: the unary prefix 2^w - 2 (w - 1 ones then a zero), then the
+minimal-width w-bit two's-complement payload.  Each value has exactly one
+code: the reader rejects signed codes wider than their value needs.  Both
+directions work on 64-bit words, not on arrays of one entry per bit.  The
+writer holds fields of up to 64 bits, so a code of 2w <= 64 bits is one field,
+prefix << w | payload, and a longer one is two; the bits are the same either
+way.  ``to_bytes`` packs every field at once, ORing it into the word of its
+first bit and spilling the rest into the next word.  The reader reads a field
+as the 64 bits from its first bit, turns into words only the bits its fields
+can occupy, and finds signed codes through jump tables of a few hundred words
+at a time, so its memory follows the count read and not the stream length.
 """
 from __future__ import annotations
 
@@ -22,12 +24,12 @@ _WORD = 64  # widest fixed-width field and widest signed payload
 _ONES = np.uint64(2**_WORD - 1)
 # _BELOW[e] = 2^(e-1) - 1, the largest value whose bit length is below e
 _BELOW = np.array([-1] + [2**e - 1 for e in range(_WORD)], dtype=np.int64)
-# words per jump table of the signed-code walk, so its temporaries stay near
-# 5 MiB however long the signed section claims to be
-_CHUNK_WORDS = 1 << 12
+# words per jump table of the signed-code walk: its int32 temporaries stay
+# near 64 KiB however long the signed section claims to be
+_CHUNK_WORDS = 1 << 9
 # for each byte's four bit pairs, MSB first: the offset of the pair's first
-# zero bit, or 2^62 (past any stream) when both bits are ones
-_PAIR_ZERO = np.array([0, 0, 1, 2**62])[(np.arange(256)[:, None] >> np.array([6, 4, 2, 0])) & 3]
+# zero bit, or 2^30 (past any jump table) when both bits are ones
+_PAIR_ZERO = np.array([0, 0, 1, 2**30], dtype=np.int32)[(np.arange(256)[:, None] >> np.array([6, 4, 2, 0])) & 3]
 
 
 class MalformedStreamError(ValueError):
@@ -49,7 +51,7 @@ def signed_widths(values) -> np.ndarray:
 
 def _jumps(words: np.ndarray, base: int) -> np.ndarray:
     """The next code start after each of the 32 * _CHUNK_WORDS pairs from
-    pair ``base`` (a multiple of 32), both relative to ``base``.
+    pair ``base`` (a multiple of 32), both relative to ``base``, as int32.
 
     Codes are 2w bits long, so they start at pairs: a code at pair j of width
     w = (first zero at or after bit 2j) - 2j + 1 is followed by the next at
@@ -58,9 +60,14 @@ def _jumps(words: np.ndarray, base: int) -> np.ndarray:
     """
     first = base // 32
     chunk = words[first : first + _CHUNK_WORDS + 1]
-    pairs = np.arange(32 * chunk.size)
-    zeros = _PAIR_ZERO[chunk.astype(">u8").view(np.uint8)].reshape(-1) + 2 * pairs
-    return (np.minimum.accumulate(zeros[::-1])[::-1] - pairs + 1)[: 32 * _CHUNK_WORDS]
+    pairs = np.arange(32 * chunk.size, dtype=np.int32)
+    jump = _PAIR_ZERO.take(chunk.astype(">u8").view(np.uint8), axis=0).reshape(-1)
+    jump += pairs
+    jump += pairs  # the bit of each pair's first zero, if it has one
+    np.minimum.accumulate(jump[::-1], out=jump[::-1])
+    jump -= pairs
+    jump += 1
+    return jump[: 32 * _CHUNK_WORDS]
 
 
 def _at(words: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -72,7 +79,7 @@ def _at(words: np.ndarray, offsets: np.ndarray) -> np.ndarray:
 class BitWriter:
     def __init__(self):
         self._values = [np.empty(0, dtype=np.uint64)]  # the fields
-        self._widths = [np.empty(0, dtype=np.int64)]  # their widths in bits, 1 to 64
+        self._widths = [np.empty(0, dtype=np.uint64)]  # their widths in bits, 1 to 64
 
     def write_fixed_array(self, values, nbits: int) -> None:
         """Each value in nbits bits, MSB first."""
@@ -83,33 +90,53 @@ class BitWriter:
             raise ValueError(f"cannot write values outside [0, 2^{nbits}) in {nbits} bits")
         if nbits:
             self._values.append(values.astype(np.uint64))
-            self._widths.append(np.full(values.size, nbits, dtype=np.int64))
+            self._widths.append(np.full(values.size, nbits, dtype=np.uint64))
 
     def write_signed_array(self, values) -> None:
-        """Signed codes of all values, back to back."""
+        """Signed codes of all values, back to back.  A code of 2w <= 64 bits
+        is the one field prefix << w | payload; a longer one is the prefix
+        field, then the payload field."""
         v = np.asarray(values, dtype=np.int64).reshape(-1)
-        width = signed_widths(v)
-        ones = _ONES >> (_WORD - width).astype(np.uint64)
-        self._values.append(np.column_stack((ones ^ 1, v.view(np.uint64) & ones)).reshape(-1))
-        self._widths.append(np.repeat(width, 2))
+        w = signed_widths(v).astype(np.uint64)
+        ones = _ONES >> (_WORD - w)
+        payload = v.view(np.uint64) & ones
+        prefix = ones ^ 1
+        head, head_widths = (prefix << w) | payload, 2 * w
+        long = np.flatnonzero(w > _WORD // 2)
+        head[long], head_widths[long] = prefix[long], w[long]
+        # the payload field of a long code goes right after its prefix field
+        tail = long + np.arange(1, long.size + 1)
+        is_head = np.ones(v.size + long.size, dtype=bool)
+        is_head[tail] = False
+        fields, widths = np.empty((2, is_head.size), dtype=np.uint64)
+        fields[is_head], widths[is_head] = head, head_widths
+        fields[tail], widths[tail] = payload[long], w[long]
+        self._values.append(fields)
+        self._widths.append(widths)
 
     def to_bytes(self) -> bytes:
         """Every field so far, packed once, then zero bits up to a whole byte."""
-        values, widths = np.concatenate(self._values), np.concatenate(self._widths)
+        fields, widths = np.concatenate(self._values), np.concatenate(self._widths)
         if not widths.size:
             return b""
-        ends = np.cumsum(widths)
-        start = ends - widths
-        word, shift, w = start >> 6, (start & 63).astype(np.uint64), widths.astype(np.uint64)
+        start = np.cumsum(widths)
+        nbits = int(start[-1])
+        start -= widths
+        shift = start & (_WORD - 1)
+        # each field at the top of a word, then at its bit offset in the word
+        # of its first bit; the bits past that word's end go to the top of the next
+        fields <<= _WORD - widths
+        spill = np.flatnonzero(shift + widths > _WORD)
+        carry = fields[spill] << (_WORD - shift[spill])
+        fields >>= shift
         # no field is wider than a word, so every word up to the last field's
         # first one holds some field's first bit: one OR-reduction per word
+        word = start >> 6
         words = np.zeros(int(word[-1]) + 2, dtype=np.uint64)
-        first = np.searchsorted(start, np.arange(0, int(start[-1]) + 1, _WORD))
-        words[:-1] = np.bitwise_or.reduceat((values << (_WORD - w)) >> shift, first)
-        # the bits past a word's end go to the top of the next word
-        spill = np.flatnonzero(shift + w > _WORD)
-        words[word[spill] + 1] |= values[spill] << (2 * _WORD - shift[spill] - w[spill])
-        return words.astype(">u8").tobytes()[: (int(ends[-1]) + 7) // 8]
+        first = np.searchsorted(start, np.arange(0, int(start[-1]) + 1, _WORD, dtype=np.uint64))
+        words[:-1] = np.bitwise_or.reduceat(fields, first)
+        words[word[spill] + 1] |= carry
+        return words.astype(">u8").tobytes()[: (nbits + 7) // 8]
 
 
 class BitReader:
@@ -149,12 +176,14 @@ class BitReader:
         words = self._words(end)
         last = end // 2
         # the walk runs over jump tables of _CHUNK_WORDS words; the first
-        # start past a table begins the next one at its word
+        # start past a table begins the next one at its word.  It stops at a
+        # start past the window, or past any code of width <= 64 from this
+        # table, which only a code too wide to accept reaches
         parts, base, pos, left = [], 0, 0, count
         while True:
             jump = memoryview(_jumps(words, base))
             starts = array("q")
-            append, limit = starts.append, last - base
+            append, limit = starts.append, min(last - base, 32 * _CHUNK_WORDS + _WORD)
             try:
                 for _ in range(left):
                     append(pos)

@@ -67,6 +67,8 @@ class Descriptor:
         M = self.system.size
         if self.k > M or (self.k and not (0 <= self.support.min() and self.support.max() < M)):
             raise ValueError(f"a support of k = {self.k} indices must have k <= {M} and each index in [0, {M})")
+        if (self.support[1:] <= self.support[:-1]).any():
+            raise ValueError("support indices must be strictly increasing")
 
     @property
     def k(self) -> int:
@@ -181,11 +183,13 @@ def _quantization_step(eps: float, coeff_l2: float, k: int) -> float:
 
 def _quantize_toward_zero(values: np.ndarray, delta: float) -> np.ndarray:
     """Nearest multiple of delta, exact half-steps rounded toward zero."""
-    scaled = np.abs(values) / delta
-    floor = np.floor(scaled)
-    frac = scaled - floor
-    q = floor + (frac > 0.5)
-    return (np.sign(values) * q).astype(np.int64)
+    scaled = np.abs(values)
+    scaled /= delta
+    q = np.floor(scaled)
+    scaled -= q  # the fraction past the floor
+    q += scaled > 0.5
+    q *= np.sign(values)
+    return q.astype(np.int64)
 
 
 def rd_encode(system: OrthonormalSystem, f: Signal, eps: float) -> tuple[Descriptor, BitAccount]:
@@ -220,7 +224,7 @@ def rd_encode(system: OrthonormalSystem, f: Signal, eps: float) -> tuple[Descrip
 def _account(d: Descriptor, r: float) -> BitAccount:
     """Exact bit counts of d's stream, with the body in closed form; header_bits includes the padding."""
     support_bits = d.k * _index_bits(d.system.size)
-    coefficient_bits = 2 * int(signed_widths(d.q_re).sum() + signed_widths(d.q_im).sum())
+    coefficient_bits = 2 * int(signed_widths(np.concatenate((d.q_re, d.q_im))).sum())
     total = 8 * len(d._header()) + 8 * -(-(support_bits + coefficient_bits) // 8)
     header_bits = total - support_bits - coefficient_bits
     # the two-term bound needs M >= 2; a one-point domain has no bound terms

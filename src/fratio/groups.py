@@ -7,6 +7,7 @@ tuple in an array of shape (n_1, ..., n_d).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -34,6 +35,14 @@ def check_domain_size(factors: Iterable[int], error: type[ValueError] = ValueErr
     return tuple(checked)
 
 
+def _cyclic_factor(n) -> int:
+    """n as an int, if it is an integer (``operator.index``); a float, even 8.0, is a ValueError."""
+    try:
+        return operator.index(n)
+    except TypeError:
+        raise ValueError(f"cyclic factors must be integers, got {n!r}") from None
+
+
 @dataclass(frozen=True)
 class FiniteAbelianGroup:
     """Product of cyclic groups Z_{n_1} x ... x Z_{n_d}."""
@@ -41,7 +50,7 @@ class FiniteAbelianGroup:
     factors: tuple[int, ...]
 
     def __post_init__(self):
-        factors = tuple(int(n) for n in self.factors)
+        factors = tuple(map(_cyclic_factor, self.factors))
         if not factors:
             raise ValueError("group needs at least one cyclic factor")
         if any(n < 1 for n in factors):

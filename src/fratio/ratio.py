@@ -81,10 +81,22 @@ class SparsifyResult:
 
 
 def top_indices(c, s: int) -> np.ndarray:
-    """Indices of the s largest magnitudes, ties broken by lowest index."""
-    mags = np.abs(_entries(c))
-    order = np.argsort(-mags, kind="stable")
-    return np.sort(order[:s])
+    """Indices of the s largest magnitudes, in ascending order.
+
+    Ties at the s-th largest magnitude go to the lowest indices, and NaN
+    ranks below every number.  Linear time: introselect (``np.partition``)
+    finds the s-th smallest t of the keys -|c|, and a mask keeps the keys
+    below t and then the first of those equal to t.
+    """
+    key = np.fmin(-np.abs(_entries(c)), np.inf)  # fmin reads NaN as +inf, after every number
+    M = key.size
+    if s >= M:
+        return np.arange(M)
+    kth = max(s - 1, 0)
+    t = np.partition(key, kth)[kth]
+    keep = key < t
+    keep[np.flatnonzero(key == t)[: s - np.count_nonzero(keep)]] = True
+    return np.flatnonzero(keep)
 
 
 def soft_sparsify(c, eta: float) -> SparsifyResult:

@@ -494,6 +494,24 @@ class TestWordBitIO:
             assert _marked(w) == _bits_to_bytes("1" * skip + codes + "1")
             assert _library_read_signed(stream, skip, len(values)) == (values, skip + len(codes))
 
+    @pytest.mark.parametrize("widths", [(31,), (32,), (33,), (64,), (31, 32, 33, 64), (64, 33, 32, 31, 31, 64)])
+    @pytest.mark.parametrize("skip", [0, 1, 32, 63])
+    def test_codes_of_one_field_and_of_two_match_reference(self, widths, skip):
+        # a code of 2w <= 64 bits is written as one field and a longer one as
+        # two, so payload widths 32 and 33 sit on either side of the split
+        rng = np.random.default_rng(29)
+        w = np.resize(np.array(widths), 50)
+        x = (1 << (w - 2)) + rng.integers(0, 1 << (w - 2))
+        values = np.where(rng.integers(0, 2, size=w.size) == 1, x, -x - 1)
+        assert np.array_equal(signed_widths(values), w)
+        writer = BitWriter()
+        writer.write_fixed_array(np.array([0]), skip)
+        writer.write_signed_array(values)
+        codes = "".join(_reference_signed_bits(int(v)) for v in values)
+        stream = _marked(writer)
+        assert stream == _bits_to_bytes("0" * skip + codes + "1")
+        assert _library_read_signed(stream, skip, values.size) == (values.tolist(), skip + len(codes))
+
     @settings(max_examples=500, deadline=timedelta(seconds=2))
     @given(_reader_inputs())
     def test_reader_matches_reference_decoder(self, case):

@@ -4,6 +4,7 @@ subcommand reading them accepts, the covering-bound arguments, the solver
 settings, sample sets, non-finite values, the erasure arguments, signal specs
 and files, group indices and slice shapes."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -313,6 +314,11 @@ class TestSignalInputs:
 
 
 class TestGroupIndices:
+    @pytest.mark.parametrize("factors", [(2.5,), (8.0,), (4, np.float64(3.0))])
+    def test_a_factor_that_is_not_an_integer_is_refused(self, factors):
+        with pytest.raises(ValueError, match=re.escape(f"cyclic factors must be integers, got {factors[-1]!r}")):
+            FiniteAbelianGroup(factors)
+
     @pytest.mark.parametrize("index", [-1, 12])
     def test_an_index_out_of_range_is_refused(self, index):
         with pytest.raises(ValueError, match=f"index {index} out of range for group of size 12"):

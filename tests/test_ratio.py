@@ -15,6 +15,9 @@ nonzero_vectors = arrays(
     elements=st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False),
 ).filter(lambda v: np.linalg.norm(v) > 1e-12)
 
+# few distinct parts, so that magnitudes tie often, with zeros, NaN and +-inf
+_PARTS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, 0.5, math.nan, math.inf, -math.inf]) | st.floats()
+
 
 class TestFourierRatio:
     def test_single_spike(self):
@@ -98,6 +101,14 @@ class TestSoftSparsify:
     def test_tie_break_lowest_index(self):
         c = np.array([1.0, 2.0, 1.0, 2.0])
         assert list(top_indices(c, 3)) == [0, 1, 3]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(_PARTS, _PARTS), min_size=1, max_size=40), st.data())
+    def test_top_indices_match_a_stable_sort(self, parts, data):
+        c = np.array([complex(re, im) for re, im in parts])
+        s = data.draw(st.sampled_from([1, c.size]) | st.integers(0, c.size))
+        expected = np.sort(np.argsort(-np.abs(c), kind="stable")[:s])
+        assert np.array_equal(top_indices(c, s), expected)
 
     def test_eta_domain(self):
         with pytest.raises(ValueError):
