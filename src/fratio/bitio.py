@@ -13,6 +13,11 @@ first bit and spilling the rest into the next word.  The reader reads a field
 as the 64 bits from its first bit, turns into words only the bits its fields
 can occupy, and finds signed codes through jump tables of a few hundred words
 at a time, so its memory follows the count read and not the stream length.
+Where a table should hold enough short codes to pay for it, the walk composes
+the table with itself into one of 2^_SKIP_LOG-code jumps, takes those coarse
+steps in Python, and fills in the starts they skip with one gather per level;
+single steps finish the table and the last codes, and every start, refusal
+and end position is that of the single-step walk.
 """
 from __future__ import annotations
 
@@ -27,9 +32,20 @@ _BELOW = np.array([-1] + [2**e - 1 for e in range(_WORD)], dtype=np.int64)
 # words per jump table of the signed-code walk: its int32 temporaries stay
 # near 64 KiB however long the signed section claims to be
 _CHUNK_WORDS = 1 << 9
-# for each byte's four bit pairs, MSB first: the offset of the pair's first
-# zero bit, or 2^30 (past any jump table) when both bits are ones
-_PAIR_ZERO = np.array([0, 0, 1, 2**30], dtype=np.int32)[(np.arange(256)[:, None] >> np.array([6, 4, 2, 0])) & 3]
+# the walk takes coarse steps of 2^_SKIP_LOG codes through each jump table,
+# then fills in the starts it skipped
+_SKIP_LOG = 3
+# the coarse steps pay for the tables they need where a jump table holds at
+# least _SKIP_MIN codes plus one per _SKIP_PAIRS of its pairs
+_SKIP_MIN, _SKIP_PAIRS = 256, 16
+# for each byte's four bit pairs, MSB first: the offset from the pair's first
+# bit of the first zero bit from there to the byte's end, or 2^30 (past any
+# jump table) when those bits are all ones
+_ZEROS_FROM_PAIR = (255 - np.arange(256)[:, None]) << np.arange(0, 8, 2) & 255
+_PAIR_ZERO = np.where(_ZEROS_FROM_PAIR, 8 - np.frexp(_ZEROS_FROM_PAIR)[1], 2**30).astype(np.int32)
+# 2j and j - 1 for each pair j of a jump table and the word past it
+_TWICE_PAIRS = 2 * np.arange(32 * (_CHUNK_WORDS + 1), dtype=np.int32)
+_PAIRS_LESS_ONE = np.arange(-1, 32 * (_CHUNK_WORDS + 1) - 1, dtype=np.int32)
 
 
 class MalformedStreamError(ValueError):
@@ -60,13 +76,16 @@ def _jumps(words: np.ndarray, base: int) -> np.ndarray:
     """
     first = base // 32
     chunk = words[first : first + _CHUNK_WORDS + 1]
-    pairs = np.arange(32 * chunk.size, dtype=np.int32)
-    jump = _PAIR_ZERO.take(chunk.astype(">u8").view(np.uint8), axis=0).reshape(-1)
-    jump += pairs
-    jump += pairs  # the bit of each pair's first zero, if it has one
-    np.minimum.accumulate(jump[::-1], out=jump[::-1])
-    jump -= pairs
-    jump += 1
+    size = 32 * chunk.size
+    jump = _PAIR_ZERO.take(chunk.astype(">u8").view(np.uint8), axis=0)
+    jump += _TWICE_PAIRS[:size].reshape(-1, 4)  # the bit of each pair's first zero in its byte, if any
+    # the first zero at or after each byte's first bit; a pair whose byte has
+    # no zero from it on takes the first zero of the bytes after
+    later = np.minimum.accumulate(jump[::-1, 0])[::-1]
+    rest = jump[:-1].T
+    np.minimum(rest, later[1:], out=rest)
+    jump = jump.reshape(-1)
+    jump -= _PAIRS_LESS_ONE[:size]
     return jump[: 32 * _CHUNK_WORDS]
 
 
@@ -74,6 +93,40 @@ def _at(words: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """The 64 bits from each bit offset of words, MSB first; shifts stay below 64."""
     q, r = offsets >> 6, (offsets & 63).astype(np.uint64)
     return (words[q] << r) | (words[1:][q] >> (63 - r) >> 1)
+
+
+def _skip_walk(jump: np.ndarray, pos: int, steps: int, cap: int) -> tuple[np.ndarray, int]:
+    """Up to ``steps`` coarse steps of 2^_SKIP_LOG codes each from start
+    ``pos`` of a jump table: the code starts they cover, and the start after.
+
+    A coarse step is taken only when every start it reaches, its end
+    included, is below ``cap``; single steps go on from where it stops.
+    """
+    # tables[i][j]: the start 2^i codes after start j, or cap if the chain
+    # leaves the table or passes the limit on the way; cap maps to itself
+    first = np.empty(cap + 1, dtype=np.int32)
+    np.minimum(jump[:cap], cap, out=first[:cap])
+    first[cap] = cap
+    tables = [first]
+    for _ in range(_SKIP_LOG):
+        tables.append(tables[-1].take(tables[-1]))
+    skip = memoryview(tables[-1][:cap])
+    coarse = array("q")
+    append = coarse.append
+    try:
+        for _ in range(steps):
+            append(pos)
+            pos = skip[pos]
+    except IndexError:  # pos is cap
+        coarse.pop()
+    if pos == cap:
+        pos = coarse.pop()
+    # each coarse step's start, then the starts halfway between known ones
+    starts = np.empty(len(coarse) << _SKIP_LOG, dtype=np.int64)
+    starts[:: 1 << _SKIP_LOG] = coarse
+    for i in reversed(range(_SKIP_LOG)):
+        starts[1 << i :: 2 << i] = tables[i].take(starts[:: 2 << i])
+    return starts, pos
 
 
 class BitWriter:
@@ -102,6 +155,10 @@ class BitWriter:
         payload = v.view(np.uint64) & ones
         prefix = ones ^ 1
         head, head_widths = (prefix << w) | payload, 2 * w
+        if w.max(initial=0) <= _WORD // 2:  # every code is one field
+            self._values.append(head)
+            self._widths.append(head_widths)
+            return
         long = np.flatnonzero(w > _WORD // 2)
         head[long], head_widths[long] = prefix[long], w[long]
         # the payload field of a long code goes right after its prefix field
@@ -181,9 +238,18 @@ class BitReader:
         # table, which only a code too wide to accept reaches
         parts, base, pos, left = [], 0, 0, count
         while True:
-            jump = memoryview(_jumps(words, base))
+            table = _jumps(words, base)
+            limit = min(last - base, 32 * _CHUNK_WORDS + _WORD)
+            cap = min(table.size, limit + 1)
+            # coarse steps pay for their tables where this one should hold, at
+            # the density of the codes left in the window, enough codes
+            if left >> _SKIP_LOG and left * cap >= (_SKIP_MIN + cap // _SKIP_PAIRS) * (last - base):
+                skipped, pos = _skip_walk(table, pos, left >> _SKIP_LOG, cap)
+                parts.append(skipped + base)
+                left -= skipped.size
+            jump = memoryview(table)
             starts = array("q")
-            append, limit = starts.append, min(last - base, 32 * _CHUNK_WORDS + _WORD)
+            append = starts.append
             try:
                 for _ in range(left):
                     append(pos)

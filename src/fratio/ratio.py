@@ -73,7 +73,6 @@ def refuses_overflow(message: str = "the bound overflows at r={r}, eps={eps}"):
 @dataclass(frozen=True)
 class SparsifyResult:
     support: np.ndarray
-    truncation: np.ndarray
     s: int
     tail_l2: float
     tail_l1: float
@@ -113,12 +112,11 @@ def soft_sparsify(c, eta: float) -> SparsifyResult:
     x = r * r / (eta * eta) if eta * eta > 0.0 else math.inf
     s = math.ceil(x) if x < M else M
     support = top_indices(v, s)
-    truncation = np.zeros_like(v)
-    truncation[support] = v[support]
-    tail = v - truncation
+    # v - v on the support (NaN where an entry is infinite or NaN), v elsewhere
+    tail = v.copy()
+    tail[support] -= v[support]
     return SparsifyResult(
         support=support,
-        truncation=truncation,
         s=s,
         tail_l2=float(np.linalg.norm(tail)),
         tail_l1=float(np.sum(np.abs(tail))),

@@ -14,10 +14,18 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from fratio import bitio
-from fratio.bitio import BitReader, BitWriter, MalformedStreamError
+from fratio.bitio import BitReader, BitWriter, MalformedStreamError, signed_widths
 from fratio.codec import MAGIC, VERSION, Descriptor, _varint, rd_decode
 from fratio.systems import SYSTEMS
-from test_codec_format import _header, _library_read_signed, _reader_inputs, _reference_read_signed, _same
+from test_codec_format import (
+    _bits_to_bytes,
+    _header,
+    _library_read_signed,
+    _reader_inputs,
+    _reference_read_signed,
+    _reference_signed_bits,
+    _same,
+)
 
 
 def _descriptor(support=(0, 1, 2), q_re=(1, 2, 3), q_im=(0, 0, 0), factors=(8,), label="dft"):
@@ -142,6 +150,43 @@ class TestFixedWidthCap:
             BitReader(bytes(16)).read_fixed_array(1, 65)
 
 
+def _coarse_walk(taken: bool):
+    """Take the walk's coarse steps wherever a table has 2^_SKIP_LOG codes left,
+    or never."""
+    return mock.patch.multiple(bitio, _SKIP_MIN=0 if taken else 2**62, _SKIP_PAIRS=2**62 if taken else 1)
+
+
+_SHORT = st.integers(1, 10).flatmap(lambda w: st.integers(-(1 << (w - 1)), (1 << (w - 1)) - 1))
+
+
+@st.composite
+def _walk_inputs(draw):
+    """(stream bytes, skip, count) for a section of many short codes, so that
+    coarse steps run: cut at any bit, or with a prefix of 64 ones or more
+    before any code, and a count up to 9 off the codes written."""
+    values = draw(st.lists(_SHORT, min_size=1, max_size=120))
+    at = draw(st.integers(0, len(values)))
+    ones = draw(st.sampled_from([0, 64, 65, 100]))
+    codes = "".join(map(_reference_signed_bits, values[:at])) + "1" * ones + "".join(
+        map(_reference_signed_bits, values[at:])
+    )
+    codes = codes[: draw(st.integers(0, len(codes)))] if draw(st.booleans()) else codes
+    skip = draw(st.integers(0, 63))
+    filler = draw(st.integers(0, 2**skip - 1))
+    data = _bits_to_bytes(format(filler, f"0{skip}b")[:skip] + codes)
+    return data, skip, max(len(values) + draw(st.integers(-9, 9)), 0)
+
+
+def _read_both_ways(data: bytes, skip: int, count: int):
+    """The reader's outcome with coarse steps taken wherever they can be, and
+    with single steps only."""
+    outcomes = []
+    for taken in (True, False):
+        with _coarse_walk(taken):
+            outcomes.append(_library_read_signed(data, skip, count))
+    return outcomes
+
+
 class TestChunkedWalk:
     @settings(max_examples=300, deadline=timedelta(seconds=2))
     @given(_reader_inputs())
@@ -150,6 +195,59 @@ class TestChunkedWalk:
         bits = "".join(format(b, "08b") for b in data)
         with mock.patch.object(bitio, "_CHUNK_WORDS", 1):
             assert _library_read_signed(data, skip, count) == _reference_read_signed(bits, skip, count)
+
+    @settings(max_examples=400, deadline=timedelta(seconds=2))
+    @given(_reader_inputs() | _walk_inputs(), st.sampled_from([1, 2, bitio._CHUNK_WORDS]))
+    def test_coarse_steps_match_the_reference_decoder(self, case, chunk_words):
+        data, skip, count = case
+        bits = "".join(format(b, "08b") for b in data)
+        with mock.patch.object(bitio, "_CHUNK_WORDS", chunk_words), _coarse_walk(True):
+            assert _library_read_signed(data, skip, count) == _reference_read_signed(bits, skip, count)
+
+    @pytest.mark.parametrize("chunk_words", [1, bitio._CHUNK_WORDS])
+    def test_coarse_steps_match_at_every_cut(self, chunk_words):
+        # 8k + 3 codes of widths 1 to 4, cut at every bit: the cut falls in
+        # each code of a coarse step, and past 2^_SKIP_LOG steps at the end
+        values = [(-1) ** j * (j % 7) for j in range(8 * 5 + 3)]
+        codes = "".join(map(_reference_signed_bits, values))
+        with mock.patch.object(bitio, "_CHUNK_WORDS", chunk_words), _coarse_walk(True):
+            for cut in range(len(codes) + 1):
+                skip = -cut % 8
+                data = _bits_to_bytes("0" * skip + codes[:cut])
+                bits = "".join(format(b, "08b") for b in data)
+                for count in (len(values), len(values) - 3):
+                    assert _library_read_signed(data, skip, count) == _reference_read_signed(bits, skip, count)
+
+    @pytest.mark.parametrize("chunk_words", [1, bitio._CHUNK_WORDS])
+    @pytest.mark.parametrize("before", [0, 5, 8, 13])
+    def test_a_wide_prefix_inside_a_coarse_step_is_refused(self, chunk_words, before):
+        values = [3, -2, 0, 1] * 8
+        bits = "".join(map(_reference_signed_bits, values[:before])) + "1" * 70 + "0" * 80
+        bits += "".join(map(_reference_signed_bits, values))
+        with mock.patch.object(bitio, "_CHUNK_WORDS", chunk_words), _coarse_walk(True):
+            assert _library_read_signed(_bits_to_bytes(bits), 0, 24) == "signed width prefix too long"
+
+    @pytest.mark.parametrize("chunk_words", [1, bitio._CHUNK_WORDS])
+    def test_coarse_steps_across_tables_read_what_single_steps_read(self, chunk_words):
+        # under 4 pairs a code: a default table of 2^14 pairs holds some 4,400
+        # codes, and coarse steps run up to each table's end
+        rng = np.random.default_rng(30)
+        values = rng.integers(-(2**7), 2**7, size=20003) >> rng.integers(0, 8, size=20003)
+        w = BitWriter()
+        w.write_fixed_array([5], 3)
+        w.write_signed_array(values)
+        stream = w.to_bytes()
+        assert len(stream) > 2 * 8 * bitio._CHUNK_WORDS
+        ends = 3 + np.cumsum(2 * signed_widths(values))
+        with mock.patch.object(bitio, "_CHUNK_WORDS", chunk_words):
+            assert _read_both_ways(stream, 3, values.size) == [(values.tolist(), ends[-1])] * 2
+            # cuts near the end of each table, of 8 * _CHUNK_WORDS bytes, and
+            # in the last codes; the codes that fit read back, one more is cut
+            cuts = [n for t in range(1, 4) for n in range(8 * chunk_words * t - 2, 8 * chunk_words * t + 3)]
+            for nbytes in [*cuts, *range(len(stream) - 12, len(stream))]:
+                fit = int(np.searchsorted(ends, 8 * nbytes, side="right"))
+                assert _read_both_ways(stream[:nbytes], 3, fit) == [(values[:fit].tolist(), ends[fit - 1])] * 2
+                assert _read_both_ways(stream[:nbytes], 3, fit + 1) == ["stream truncated"] * 2
 
     @pytest.mark.parametrize("chunk_words", [1, bitio._CHUNK_WORDS])
     def test_a_section_of_many_chunks_reads_back(self, chunk_words):
