@@ -11,14 +11,17 @@ Stream layout: a byte header, then a bit-packed body.  The header is the
 magic "FRRD", a version byte, the factor count and factors (unsigned LEB128
 varints), the system code byte, k (varint), and big-endian float64 ||c||_2
 and eps.  The body is k support indices at ceil(log2 M) fixed bits each, then
-k (re, im) pairs of signed self-delimiting codes, then zero bits to a byte
-boundary; ``bitio`` packs and parses it in 64-bit words, in place and in
-memory that follows k, not the stream length.  A Descriptor checks its own
+the signed codes of k (re, im) pairs, then zero bits to a byte boundary.  The
+codes of version 2, the one written, are every unary prefix, then every
+payload; version 1, still read, puts each prefix before its payload, in the
+same bits.  ``bitio`` packs and parses the body in 64-bit words, in place and
+in memory that follows k, not the stream length.  A Descriptor checks its own
 fields when it is built, and the decoder reads a stream into one, so it
 refuses what the constructor refuses.  It also rejects nonzero padding,
 trailing bytes and non-minimal varints and signed codes, so every accepted
-stream serializes back to itself.  The bit account counts the body in closed
-form, so rd_encode serializes nothing.
+stream serializes back to itself, a version 1 stream to its version 2 layout.
+The bit account counts the body in closed form, so rd_encode serializes
+nothing.
 """
 from __future__ import annotations
 
@@ -34,7 +37,8 @@ from .ratio import check_bound_args, refuses_overflow, soft_sparsify
 from .systems import SYSTEMS, OrthonormalSystem, system_on_group
 
 MAGIC = b"FRRD"
-VERSION = 1
+VERSION = 2
+_SIGNED_READERS = {1: BitReader.read_signed_array, VERSION: BitReader.read_signed_sections}
 _CODE_LABELS = {cls.code: label for label, cls in SYSTEMS.items()}
 # Largest quantization code rd_encode makes: float64 holds every integer up to
 # 2^53 exactly, and the decoder scales the codes as float64.
@@ -85,7 +89,7 @@ class Descriptor:
     def serialize(self) -> bytes:
         body = BitWriter()
         body.write_fixed_array(self.support, _index_bits(self.system.size))
-        body.write_signed_array(np.column_stack((self.q_re, self.q_im)))
+        body.write_signed_sections(np.column_stack((self.q_re, self.q_im)))
         return self._header() + body.to_bytes()
 
     def _header(self) -> bytes:
@@ -101,7 +105,7 @@ class Descriptor:
         if head.take(4) != MAGIC:
             raise MalformedStreamError("bad magic")
         version = head.take(1)[0]
-        if version != VERSION:
+        if version not in _SIGNED_READERS:
             raise MalformedStreamError(f"unsupported version {version}")
         count = head.varint()
         if count == 0:
@@ -119,7 +123,7 @@ class Descriptor:
             raise MalformedStreamError("support larger than the domain")
         body = BitReader(memoryview(data)[head.pos :])
         support = body.read_fixed_array(k, _index_bits(M))
-        q_re, q_im = body.read_signed_array(2 * k).reshape(k, 2).T.copy()
+        q_re, q_im = _SIGNED_READERS[version](body, 2 * k).reshape(k, 2).T.copy()
         body.check_end()
         try:
             return cls(factors, _CODE_LABELS[label_code], coeff_l2, eps, support.astype(np.int64), q_re, q_im)

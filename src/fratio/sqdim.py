@@ -252,7 +252,10 @@ def sq_mse(
     if not np.all(np.isfinite(per_trial)):
         raise ValueError("a trial's weighted squared error is not finite: the signal's scale overflows float64")
     bound = M * system.tau**2 * r**2 / k
-    std_error = float(per_trial.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+    # the spread of the errors over 2^e, near the largest, keeps their squares
+    # finite; scaling by a power of two is exact, so finite spreads keep their bits
+    e = int(np.frexp(per_trial.max())[1])
+    std_error = math.ldexp(float(np.ldexp(per_trial, -e).std(ddof=1)), e) / math.sqrt(trials) if trials > 1 else 0.0
     return MseReport(
         empirical_mse=float(per_trial.mean()),
         bound=bound,

@@ -1,6 +1,7 @@
 """A Descriptor is refused when it is built unless it has a stream the decoder
-accepts, and the signed-code reader walks hostile sections in memory bounded
-by its jump-table chunk."""
+accepts, and the signed-code readers read long and hostile sections in
+memory that follows the count read: version 2 unpacks its prefix section in
+chunks of _SCAN_BYTES bytes."""
 import math
 import struct
 import tracemalloc
@@ -18,9 +19,12 @@ from fratio.bitio import BitReader, BitWriter, MalformedStreamError, signed_widt
 from fratio.codec import MAGIC, VERSION, Descriptor, _varint, rd_decode
 from fratio.systems import SYSTEMS
 from test_codec_format import (
+    _Bits,
     _bits_to_bytes,
     _header,
+    _layout,
     _library_read_signed,
+    _read,
     _reader_inputs,
     _reference_read_signed,
     _reference_signed_bits,
@@ -150,26 +154,28 @@ class TestFixedWidthCap:
             BitReader(bytes(16)).read_fixed_array(1, 65)
 
 
-def _coarse_walk(taken: bool):
-    """Take the walk's coarse steps wherever a table has 2^_SKIP_LOG codes left,
-    or never."""
-    return mock.patch.multiple(bitio, _SKIP_MIN=0 if taken else 2**62, _SKIP_PAIRS=2**62 if taken else 1)
+def _scan_bytes(nbytes: int):
+    """Unpack version 2 prefix sections nbytes at a time."""
+    return mock.patch.object(bitio, "_SCAN_BYTES", nbytes)
 
 
 _SHORT = st.integers(1, 10).flatmap(lambda w: st.integers(-(1 << (w - 1)), (1 << (w - 1)) - 1))
 
 
 @st.composite
-def _walk_inputs(draw):
-    """(stream bytes, skip, count) for a section of many short codes, so that
-    coarse steps run: cut at any bit, or with a prefix of 64 ones or more
-    before any code, and a count up to 9 off the codes written."""
+def _walk_inputs(draw, version: int = 1):
+    """(stream bytes, skip, count) for a section of many short codes: cut at
+    any bit, or with a prefix of 64 ones or more before any code, and a count
+    up to 9 off the codes written."""
     values = draw(st.lists(_SHORT, min_size=1, max_size=120))
     at = draw(st.integers(0, len(values)))
     ones = draw(st.sampled_from([0, 64, 65, 100]))
-    codes = "".join(map(_reference_signed_bits, values[:at])) + "1" * ones + "".join(
-        map(_reference_signed_bits, values[at:])
-    )
+    codes = list(map(_reference_signed_bits, values))
+    # code at's prefix starts after the codes before it, or in version 2
+    # after their prefixes, which are half their bits
+    before = sum(map(len, codes[:at])) // version
+    codes = _layout(codes, version)
+    codes = codes[:before] + "1" * ones + codes[before:]
     codes = codes[: draw(st.integers(0, len(codes)))] if draw(st.booleans()) else codes
     skip = draw(st.integers(0, 63))
     filler = draw(st.integers(0, 2**skip - 1))
@@ -177,124 +183,137 @@ def _walk_inputs(draw):
     return data, skip, max(len(values) + draw(st.integers(-9, 9)), 0)
 
 
-def _read_both_ways(data: bytes, skip: int, count: int):
-    """The reader's outcome with coarse steps taken wherever they can be, and
-    with single steps only."""
-    outcomes = []
-    for taken in (True, False):
-        with _coarse_walk(taken):
-            outcomes.append(_library_read_signed(data, skip, count))
-    return outcomes
-
-
-class TestChunkedWalk:
+class TestLongSections:
     @settings(max_examples=300, deadline=timedelta(seconds=2))
-    @given(_reader_inputs())
-    def test_one_word_chunks_match_the_reference_decoder(self, case):
+    @given(_reader_inputs(2))
+    def test_one_byte_chunks_match_the_reference_decoder(self, case):
         data, skip, count = case
         bits = "".join(format(b, "08b") for b in data)
-        with mock.patch.object(bitio, "_CHUNK_WORDS", 1):
-            assert _library_read_signed(data, skip, count) == _reference_read_signed(bits, skip, count)
+        with _scan_bytes(1):
+            assert _library_read_signed(data, skip, count, 2) == _reference_read_signed(bits, skip, count, 2)
 
+    @pytest.mark.parametrize("version", [1, 2])
     @settings(max_examples=400, deadline=timedelta(seconds=2))
-    @given(_reader_inputs() | _walk_inputs(), st.sampled_from([1, 2, bitio._CHUNK_WORDS]))
-    def test_coarse_steps_match_the_reference_decoder(self, case, chunk_words):
-        data, skip, count = case
-        bits = "".join(format(b, "08b") for b in data)
-        with mock.patch.object(bitio, "_CHUNK_WORDS", chunk_words), _coarse_walk(True):
-            assert _library_read_signed(data, skip, count) == _reference_read_signed(bits, skip, count)
+    @given(data=st.data(), scan_bytes=st.sampled_from([1, 2, bitio._SCAN_BYTES]))
+    def test_many_short_codes_match_the_reference_decoder(self, version, data, scan_bytes):
+        stream, skip, count = data.draw(_reader_inputs(version) | _walk_inputs(version))
+        bits = "".join(format(b, "08b") for b in stream)
+        with _scan_bytes(scan_bytes):
+            assert _library_read_signed(stream, skip, count, version) == _reference_read_signed(bits, skip, count, version)
 
-    @pytest.mark.parametrize("chunk_words", [1, bitio._CHUNK_WORDS])
-    def test_coarse_steps_match_at_every_cut(self, chunk_words):
+    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("scan_bytes", [1, bitio._SCAN_BYTES])
+    def test_short_codes_match_at_every_cut(self, scan_bytes, version):
         # 8k + 3 codes of widths 1 to 4, cut at every bit: the cut falls in
-        # each code of a coarse step, and past 2^_SKIP_LOG steps at the end
+        # each code, and in version 2 in each prefix and each payload
         values = [(-1) ** j * (j % 7) for j in range(8 * 5 + 3)]
-        codes = "".join(map(_reference_signed_bits, values))
-        with mock.patch.object(bitio, "_CHUNK_WORDS", chunk_words), _coarse_walk(True):
+        codes = _layout(list(map(_reference_signed_bits, values)), version)
+        with _scan_bytes(scan_bytes):
             for cut in range(len(codes) + 1):
                 skip = -cut % 8
                 data = _bits_to_bytes("0" * skip + codes[:cut])
                 bits = "".join(format(b, "08b") for b in data)
                 for count in (len(values), len(values) - 3):
-                    assert _library_read_signed(data, skip, count) == _reference_read_signed(bits, skip, count)
+                    expected = _reference_read_signed(bits, skip, count, version)
+                    assert _library_read_signed(data, skip, count, version) == expected
 
-    @pytest.mark.parametrize("chunk_words", [1, bitio._CHUNK_WORDS])
+    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("scan_bytes", [1, bitio._SCAN_BYTES])
     @pytest.mark.parametrize("before", [0, 5, 8, 13])
-    def test_a_wide_prefix_inside_a_coarse_step_is_refused(self, chunk_words, before):
+    def test_a_wide_prefix_among_short_codes_is_refused(self, scan_bytes, before, version):
         values = [3, -2, 0, 1] * 8
-        bits = "".join(map(_reference_signed_bits, values[:before])) + "1" * 70 + "0" * 80
-        bits += "".join(map(_reference_signed_bits, values))
-        with mock.patch.object(bitio, "_CHUNK_WORDS", chunk_words), _coarse_walk(True):
-            assert _library_read_signed(_bits_to_bytes(bits), 0, 24) == "signed width prefix too long"
+        codes = list(map(_reference_signed_bits, values))
+        # in version 2, the wide prefix follows the prefixes of the codes before it
+        bits = _layout(codes[:before], version)[: sum(map(len, codes[:before])) // version]
+        bits += "1" * 70 + "0" * 80 + _layout(codes, version)
+        with _scan_bytes(scan_bytes):
+            assert _library_read_signed(_bits_to_bytes(bits), 0, 24, version) == "signed width prefix too long"
 
-    @pytest.mark.parametrize("chunk_words", [1, bitio._CHUNK_WORDS])
-    def test_coarse_steps_across_tables_read_what_single_steps_read(self, chunk_words):
-        # under 4 pairs a code: a default table of 2^14 pairs holds some 4,400
-        # codes, and coarse steps run up to each table's end
+    def test_short_codes_read_back_at_every_length(self):
+        # a version 1 section of 20003 short codes cut near every 4 KiB and
+        # in its last codes: the codes that fit read back, and one more is cut
+        rng = np.random.default_rng(30)
+        values = rng.integers(-(2**7), 2**7, size=20003) >> rng.integers(0, 8, size=20003)
+        stream = _Bits().fixed(5, 3).codes(values, 1).to_bytes()
+        assert len(stream) > 2 * 8 * 512
+        ends = 3 + np.cumsum(2 * signed_widths(values))
+        assert _library_read_signed(stream, 3, values.size) == (values.tolist(), ends[-1])
+        cuts = [n for t in range(1, 4) for n in range(8 * 512 * t - 2, 8 * 512 * t + 3)]
+        for nbytes in [*cuts, *range(len(stream) - 12, len(stream))]:
+            fit = int(np.searchsorted(ends, 8 * nbytes, side="right"))
+            assert _library_read_signed(stream[:nbytes], 3, fit) == (values[:fit].tolist(), ends[fit - 1])
+            assert _library_read_signed(stream[:nbytes], 3, fit + 1) == "stream truncated"
+
+    @pytest.mark.parametrize("scan_bytes", [2**10, bitio._SCAN_BYTES])
+    def test_short_codes_across_chunks_read_back_or_are_cut(self, scan_bytes):
+        # a version 2 section of 20003 short codes read in chunks, and cut
+        # near the chunk ends of its prefix section and in its payloads
         rng = np.random.default_rng(30)
         values = rng.integers(-(2**7), 2**7, size=20003) >> rng.integers(0, 8, size=20003)
         w = BitWriter()
         w.write_fixed_array([5], 3)
-        w.write_signed_array(values)
+        w.write_signed_sections(values)
         stream = w.to_bytes()
-        assert len(stream) > 2 * 8 * bitio._CHUNK_WORDS
-        ends = 3 + np.cumsum(2 * signed_widths(values))
-        with mock.patch.object(bitio, "_CHUNK_WORDS", chunk_words):
-            assert _read_both_ways(stream, 3, values.size) == [(values.tolist(), ends[-1])] * 2
-            # cuts near the end of each table, of 8 * _CHUNK_WORDS bytes, and
-            # in the last codes; the codes that fit read back, one more is cut
-            cuts = [n for t in range(1, 4) for n in range(8 * chunk_words * t - 2, 8 * chunk_words * t + 3)]
+        end = 3 + 2 * int(signed_widths(values).sum())
+        with _scan_bytes(scan_bytes):
+            assert _library_read_signed(stream, 3, values.size, 2) == (values.tolist(), end)
+            cuts = [n for t in range(1, 4) for n in range(scan_bytes * t - 2, scan_bytes * t + 3) if 0 < n < len(stream)]
             for nbytes in [*cuts, *range(len(stream) - 12, len(stream))]:
-                fit = int(np.searchsorted(ends, 8 * nbytes, side="right"))
-                assert _read_both_ways(stream[:nbytes], 3, fit) == [(values[:fit].tolist(), ends[fit - 1])] * 2
-                assert _read_both_ways(stream[:nbytes], 3, fit + 1) == ["stream truncated"] * 2
+                assert _library_read_signed(stream[:nbytes], 3, values.size, 2) == "stream truncated"
 
-    @pytest.mark.parametrize("chunk_words", [1, bitio._CHUNK_WORDS])
-    def test_a_section_of_many_chunks_reads_back(self, chunk_words):
+    @pytest.mark.parametrize("scan_bytes", [2**8, bitio._SCAN_BYTES])
+    def test_a_section_of_many_chunks_reads_back(self, scan_bytes):
         rng = np.random.default_rng(24)
         values = rng.integers(-(2**62), 2**62, size=20000) >> rng.integers(0, 62, size=20000)
         w = BitWriter()
         w.write_fixed_array([5], 3)
-        w.write_signed_array(values)
-        stream = w.to_bytes()
-        assert len(stream) > 3 * 8 * bitio._CHUNK_WORDS
-        with mock.patch.object(bitio, "_CHUNK_WORDS", chunk_words):
-            reader = BitReader(stream)
-            reader.read_fixed_array(1, 3)
-            assert np.array_equal(reader.read_signed_array(values.size), values)
-            reader.check_end()
+        w.write_signed_sections(values)
+        streams = {1: _Bits().fixed(5, 3).codes(values, 1).to_bytes(), 2: w.to_bytes()}
+        assert signed_widths(values).sum() > 2 * 8 * bitio._SCAN_BYTES  # a prefix section of 3 chunks
+        with _scan_bytes(scan_bytes):
+            for version, stream in streams.items():
+                reader = BitReader(stream)
+                reader.read_fixed_array(1, 3)
+                assert np.array_equal(_read(reader, values.size, version), values)
+                reader.check_end()
 
-    @pytest.mark.parametrize("chunk_words", [1, bitio._CHUNK_WORDS])
+    @pytest.mark.parametrize("version", [1, 2])
     @pytest.mark.parametrize("nbits", [2**12, 2**31, 2**32, 2**33, 2**40])
-    def test_a_prefix_of_ones_past_the_table_is_refused_at_any_stream_length(self, chunk_words, nbits):
+    def test_a_prefix_of_ones_is_refused_at_any_stream_length(self, version, nbits):
         # the window of a signed section at the domain cap, 2^25 codes of up
-        # to 128 bits, reaches 2^32 bits; only its first words are built here
+        # to 128 bits, reaches 2^32 bits; only its first bits are here, and a
+        # read past them raises another error
         count = min(nbits // 2, 2**25)
-        reader = BitReader(b"")
+        reader = BitReader(b"\xff" * (bitio._SCAN_BYTES + 1))
         reader._size = nbits
-        reader._words = lambda n: np.full(chunk_words + 2, 2**64 - 1, dtype=np.uint64)
-        jumps, bases = bitio._jumps, []
-
-        def one_table(words, base):
-            bases.append(base)
-            assert len(bases) == 1, f"the walk went on to tables at pairs {bases}"
-            return jumps(words, base)
-
-        with mock.patch.object(bitio, "_CHUNK_WORDS", chunk_words), mock.patch.object(bitio, "_jumps", one_table):
-            with pytest.raises(MalformedStreamError, match="signed width prefix too long"):
-                reader.read_signed_array(count)
+        windows = []
+        reader._words = lambda n: windows.append(n) or np.full(3, 2**64 - 1, dtype=np.uint64)
+        with pytest.raises(MalformedStreamError, match="signed width prefix too long"):
+            _read(reader, count, version)
+        assert windows == ([min(nbits, 128 * count)] if version == 1 else [])
 
 
-def test_hostile_signed_section_fails_in_bounded_memory():
-    # dft:1048576 with k = 2^20: all-ones support indices, then 1 MiB of ones
+@pytest.mark.parametrize(
+    "version,fill,message,peak_bound",
+    [
+        (1, b"\xff", "signed width prefix too long", 64e6),
+        (2, b"\xff", "signed width prefix too long", 53.0e6),
+        (2, b"\x00", "trailing bytes after the stream", 160.8e6),
+    ],
+    ids=["v1 all ones", "v2 all ones", "v2 all zeros"],
+)
+def test_hostile_signed_section_fails_in_bounded_memory(version, fill, message, peak_bound):
+    # dft:1048576 with k = 2^20: support indices of all ones or all zeros,
+    # then 1 MiB more of the same; an all-zero version 1 body walks 2^21
+    # codes one at a time, too slowly to trace
     k = 1 << 20
-    header = MAGIC + bytes([VERSION]) + _varint(1) + _varint(k) + bytes([0]) + _varint(k)
-    blob = header + struct.pack(">dd", 1.0, 0.2) + b"\xff" * (20 * k // 8 + (1 << 20))
+    header = MAGIC + bytes([version]) + _varint(1) + _varint(k) + bytes([0]) + _varint(k)
+    blob = header + struct.pack(">dd", 1.0, 0.2) + fill * (20 * k // 8 + (1 << 20))
     tracemalloc.start()
     try:
-        with pytest.raises(MalformedStreamError, match="signed width prefix too long"):
+        with pytest.raises(MalformedStreamError, match=message):
             Descriptor.deserialize(blob)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 64e6
+    assert peak < peak_bound
