@@ -66,16 +66,18 @@ def read_signal(path) -> Signal:
     """Read a file written by write_signal: every index of the domain exactly once, in any order.
 
     A row with an index outside the domain, a repeated index or a non-finite
-    value is a ValueError that names its line; so is a header whose domain
-    exceeds ``MAX_DOMAIN_SIZE``, before anything is allocated.
+    value is a ValueError that names its line; so is a header that is not
+    integers >= 1 or whose domain exceeds ``MAX_DOMAIN_SIZE``, before anything
+    is allocated.
     """
     with open(path) as fh:
         header = fh.readline().split()
         if not header:
             raise ValueError(f"{path}: missing factor header line")
-        factors = tuple(int(n) for n in header)
-        check_domain_size(factors)
-        group = FiniteAbelianGroup(factors)
+        try:
+            group = FiniteAbelianGroup(check_domain_size(int(n) for n in header))
+        except ValueError as exc:
+            raise ValueError(f"{path}, line 1: {exc}") from None
         values = np.zeros(group.size, dtype=np.complex128)
         line_of = {}  # index -> the line that gave it
         for lineno, line in enumerate(fh, start=2):

@@ -3,7 +3,8 @@ log-scale dimension bound.
 
 A signal f with coefficients g is estimated by drawing basis indices with
 probability |g(m)| / ||g||_1 and averaging the rank-one synthesis terms; the
-estimate is unbiased with mean-squared error at most M tau^2 r^2 / k.
+estimate is unbiased, and for ||f||_2^2 = M (a Rademacher signal, say) its
+mean-squared error is at most M tau^2 r^2 / k.
 
 ``sq_sample`` and ``sq_mse`` draw through one recipe (``_WeightedDraws``):
 the indices ``Generator.choice(M, size, p=|g| / ||g||_1)`` returns, from the
@@ -13,7 +14,7 @@ G is a power of two, so a uniform's bucket is exact, and where a bucket holds
 at most one cdf point one comparison gives ``searchsorted``'s index; keys in
 wider buckets are searched.  G is at most 16 M, the number of draws of the
 call and 2^16: the table has no more buckets than the call has draws, its
-build costs O(min(M + G, G log M)), and its memory is bounded at any M.
+build is one bincount, O(M + G), and its memory is bounded at any M.
 
 ``sq_mse`` runs its trials as (rows, M) stacks of about ``_STACK_ENTRIES``
 entries: one draw, one accumulation (``_accumulate``, the same one
@@ -221,8 +222,9 @@ def sq_mse(
 ) -> MseReport:
     """Empirical weighted MSE of the k-term estimator against the M tau^2 r^2 / k bound.
 
-    Trials run in stacks of rows; the report equals, bit for bit, that of
-    one trial at a time.
+    The bound holds for signals with ||f||_2^2 = M; the MSE scales with
+    ||f||_2^2 and the bound does not.  Trials run in stacks of rows; the
+    report equals, bit for bit, that of one trial at a time.
     """
     if k < 1 or trials < 1:
         raise ValueError("k and trials must be >= 1")

@@ -1,17 +1,17 @@
 """Orthonormal systems on finite abelian groups.
 
-Each system is an analysis/synthesis pair with an incoherence constant
-tau = max_{x,j} |phi_j(x)|.  Analysis computes <f, phi_j> with the inner
-product sum_x f(x) conj(phi_j(x)); synthesis is the adjoint (exact inverse).
-The character system uses the negative-exponent kernel on the analysis side,
-so it coincides with the conventional orthonormal FFT.
+Each system has an incoherence constant tau = max_{x,j} |phi_j(x)|.  Analysis
+computes <f, phi_j> = sum_x f(x) conj(phi_j(x)); synthesis is its adjoint, the
+exact inverse.  The character system's analysis kernel has the negative
+exponent, so it is the conventional orthonormal FFT.
 
 Everything about a system lives on its class: its ``label`` in specs and
-system ids, its ``code`` byte in descriptor streams, the parser of its spec
-parameters (``_parse_params``) beside their writer (``_param_string``), and
-the check, in its constructor, that it can live on a given group.  ``SYSTEMS``
-lists the classes, so adding a system is one class and one name there.  A
-code is never reused: FRRD version 1 streams carry it.
+system ids, its ``code`` byte in descriptor streams (never reused), the parser
+of its spec parameters (``_parse_params``) beside their writer
+(``_param_string``), the check in its constructor that it can live on a group,
+and its one transform ``_transform(values, inverse)``, which the base class
+runs as analysis and as synthesis (Haar overrides those two: its directions are
+different cascades).  Adding a system is one class and its name in ``SYSTEMS``.
 """
 from __future__ import annotations
 
@@ -83,11 +83,14 @@ class OrthonormalSystem:
 
     # The array transforms take (..., M) arrays and act along the last axis,
     # so a stack of B problems is one call on a (B, M) array.
-    def _analyze_array(self, values: np.ndarray) -> np.ndarray:
+    def _transform(self, values: np.ndarray, inverse: bool) -> np.ndarray:
         raise NotImplementedError
 
+    def _analyze_array(self, values: np.ndarray) -> np.ndarray:
+        return self._transform(values, False)
+
     def _synthesize_array(self, entries: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        return self._transform(entries, True)
 
     def analyze(self, f: Signal) -> CoefficientVector:
         if f.group != self.group:
@@ -117,12 +120,6 @@ class CharacterSystem(OrthonormalSystem):
     @property
     def tau(self) -> float:
         return self.size ** -0.5
-
-    def _analyze_array(self, values: np.ndarray) -> np.ndarray:
-        return self._transform(values, inverse=False)
-
-    def _synthesize_array(self, entries: np.ndarray) -> np.ndarray:
-        return self._transform(entries, inverse=True)
 
     def _transform(self, values: np.ndarray, inverse: bool) -> np.ndarray:
         # one 1-D transform per factor, last factor first, as fftn does;
@@ -154,16 +151,10 @@ class WalshHadamardSystem(CharacterSystem):
     def _param_string(self) -> str:
         return str(self.n)
 
-    def _analyze_array(self, values: np.ndarray) -> np.ndarray:
-        return self._butterfly(values)
-
-    def _synthesize_array(self, entries: np.ndarray) -> np.ndarray:
-        return self._butterfly(entries)
-
-    def _butterfly(self, values: np.ndarray) -> np.ndarray:
+    def _transform(self, values: np.ndarray, inverse: bool) -> np.ndarray:
         # the orthonormal length-2 DFT along each factor: (a0 + a1) r and
         # (a0 - a1) r with r = 1/sqrt 2, the same arithmetic as np.fft, so the
-        # results agree bit for bit; forward and inverse coincide on Z_2.
+        # results agree bit for bit; ``inverse`` is unread: the two coincide on Z_2.
         # Autosort layout: a stage pairs adjacent entries (the lowest index
         # bit) and writes the sums and differences to the two contiguous
         # halves of the other buffer, which moves that bit to the top.  So
@@ -222,15 +213,9 @@ class GaborBlockSystem(OrthonormalSystem):
     def tau(self) -> float:
         return self.N ** -0.5
 
-    def _analyze_array(self, values: np.ndarray) -> np.ndarray:
-        lead = values.shape[:-1]
-        shaped = values.reshape(lead + (self.N, self.T))
-        return _ortho_fft(shaped, -2, inverse=False).reshape(values.shape)
-
-    def _synthesize_array(self, entries: np.ndarray) -> np.ndarray:
-        lead = entries.shape[:-1]
-        shaped = entries.reshape(lead + (self.N, self.T))
-        return _ortho_fft(shaped, -2, inverse=True).reshape(entries.shape)
+    def _transform(self, values: np.ndarray, inverse: bool) -> np.ndarray:
+        shaped = values.reshape(values.shape[:-1] + (self.N, self.T))
+        return _ortho_fft(shaped, -2, inverse).reshape(values.shape)
 
 
 class HaarSystem(OrthonormalSystem):

@@ -121,3 +121,12 @@ class TestStrictConfig:
         assert main(["--config", config, "phase", "--out", str(phase)]) == 0
         assert json.loads(recover.read_text())["p"] == 0.9
         assert json.loads(phase.read_text())["config"]["p_values"] == [0.9]
+
+
+class TestSignalFileHeader:
+    @pytest.mark.parametrize("header", ["8.0", "0"])
+    def test_a_refused_header_names_the_file(self, capsys, tmp_path, header):
+        path = tmp_path / "f.txt"
+        path.write_text(header + "\n")
+        err = usage_error(capsys, ["fr", "--system", "dft:8", "--signal", f"file:{path}"])
+        assert f"fratio fr: error: {path}, line 1: " in err

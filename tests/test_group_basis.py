@@ -12,7 +12,7 @@ from fratio import (
     make_wht,
     parse_system,
 )
-from fratio.systems import SYSTEMS, system_on_group
+from fratio.systems import SYSTEMS, OrthonormalSystem, system_on_group
 
 from conftest import complex_gaussian
 
@@ -303,3 +303,12 @@ def test_system_on_group_rejects_an_unknown_label():
 def test_stream_codes_are_distinct():
     # the codec maps a stream's code back to its label; a repeated code would lose one
     assert len({cls.code for cls in SYSTEMS.values()}) == len(SYSTEMS)
+
+
+def test_a_system_writes_one_transform_or_both_cascades():
+    # the base class makes analysis and synthesis of _transform; only a system
+    # whose two directions are different algorithms overrides them instead
+    assert {"_transform", "_analyze_array", "_synthesize_array"} <= vars(OrthonormalSystem).keys()
+    for label, cls in SYSTEMS.items():
+        own = vars(cls).keys() & {"_transform", "_analyze_array", "_synthesize_array"}
+        assert own == ({"_analyze_array", "_synthesize_array"} if label == "haar" else {"_transform"}), label

@@ -340,3 +340,31 @@ class TestLocalizationInputs:
         group = FiniteAbelianGroup((4, 3))
         with pytest.raises(ValueError, match="unknown transform reading 'columnwise'"):
             localization_check(Signal(group, np.ones(12)), ProductDecomposition(group, 1), transform="columnwise")
+
+
+class TestSignalFileHeader:
+    """A refused header names the file and its line, then says why."""
+
+    @pytest.mark.parametrize(
+        "header, reason",
+        [
+            ("8.0", "invalid literal for int() with base 10: '8.0'"),
+            ("4 x", "invalid literal for int() with base 10: 'x'"),
+            ("0", "cyclic factors must be >= 1, got (0,)"),
+            ("4 -2", "cyclic factors must be >= 1, got (4, -2)"),
+        ],
+        ids=["float", "word", "zero", "negative"],
+    )
+    def test_a_header_that_is_not_positive_integers_names_the_file(self, tmp_path, header, reason):
+        path = tmp_path / "f.txt"
+        path.write_text(header + "\n0 1.0 0.0\n")
+        with pytest.raises(ValueError) as info:
+            read_signal(path)
+        assert str(info.value) == f"{path}, line 1: {reason}"
+
+    def test_a_header_above_the_cap_names_the_file(self, cap_64, tmp_path):
+        path = tmp_path / "big.txt"
+        path.write_text("9 9\n")
+        with pytest.raises(ValueError) as info:
+            read_signal(path)
+        assert str(info.value) == f"{path}, line 1: domain exceeds the cap of 64 points"
